@@ -14,9 +14,10 @@ Concurrency-bearing classes *declare* their discipline as data::
 and this rule checks the declaration against the code:
 
 * an attribute guarded by a lock name may only be mutated (rebound,
-  item-assigned, augmented, or hit with a mutator method like
-  ``.append``/``.clear``) inside ``with self.<lock>``;  ``__init__`` is
-  exempt (no concurrency before construction completes);
+  item-assigned, augmented, or hit with *any* method call — a
+  ``.append`` on a deque and a ``.complete(...)`` on a helper object
+  that owns counters are the same hazard) inside ``with self.<lock>``;
+  ``__init__`` is exempt (no concurrency before construction completes);
 * lock attributes are discovered from ``__init__``
   (``self.x = threading.Lock()/RLock()/Condition(...)``);
   ``Condition(self._lock)`` aliases its lock, so holding either name
@@ -49,7 +50,8 @@ EVENT_LOOP = "event-loop"
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
 
-#: method calls that mutate their receiver in place
+#: method calls that mutate their receiver in place — what counts as a
+#: mutation of loop-confined state; on lock-guarded state every call does
 _MUTATORS = {
     "append", "appendleft", "extend", "extendleft", "insert",
     "pop", "popleft", "popitem", "remove", "discard", "clear",
@@ -194,7 +196,8 @@ class LockDisciplineRule(Rule):
         "Classes with shared mutable state declare it in a _guarded_by "
         "dict (attr -> lock attr name, tuple of names, or 'event-loop' "
         "for asyncio loop-confined state).  This rule flags mutations of "
-        "a guarded attribute outside 'with self.<lock>', in-place "
+        "a guarded attribute (including any method call on a lock-guarded "
+        "one) outside 'with self.<lock>', in-place "
         "mutation of loop-confined state from _off_loop_methods (only an "
         "atomic rebind is race-free there), await while holding a lock, "
         "and blocking calls (time.sleep, queue .get()) under a held lock. "
@@ -313,7 +316,16 @@ class LockDisciplineRule(Rule):
         return out
 
     def _check_mutation(
-        self, module, decl, method, target, held, out, *, rebind_ok: bool
+        self,
+        module,
+        decl,
+        method,
+        target,
+        held,
+        out,
+        *,
+        rebind_ok: bool,
+        call: Optional[str] = None,
     ) -> None:
         root = _self_attr_root(target)
         if root is None:
@@ -324,6 +336,8 @@ class LockDisciplineRule(Rule):
             return
         line = target.lineno
         if EVENT_LOOP in guard:
+            if call is not None and call not in _MUTATORS:
+                return
             if method in decl.off_loop_methods and not (direct and rebind_ok):
                 out.append(
                     self.finding(
@@ -348,10 +362,10 @@ class LockDisciplineRule(Rule):
 
     def _check_call(self, module, decl, method, node, held, out) -> None:
         func = node.func
-        # in-place mutator methods on guarded attributes
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+        # method calls on guarded attributes
+        if isinstance(func, ast.Attribute):
             self._check_mutation(
-                module, decl, method, func, held, out, rebind_ok=False
+                module, decl, method, func, held, out, rebind_ok=False, call=func.attr
             )
         if not held:
             return

@@ -20,19 +20,19 @@ Pieces
     treatment for the serving tier) consumed by both services — and
     :class:`ServeResult`, the ``int``-compatible answer type carrying
     label + model version + cache/coalesce provenance + latency.
+:mod:`repro.serve.core`
+    :class:`~repro.serve.core.ServingCore` — the serving policy both
+    front ends share (see "Serving core" below).
 :mod:`repro.serve.service`
-    :class:`PredictionService` — micro-batching request queue, LRU
-    kernel-row cache, thread-pool workers, optional ``queue_bound``
-    admission control, profiler-recorded batches, and atomic model
+    :class:`PredictionService` — micro-batching request queue,
+    thread-pool workers, profiler-recorded batches, and atomic model
     hot-swap (``swap_model``) with zero dropped in-flight requests.
 :mod:`repro.serve.frontdoor`
     :class:`AsyncPredictionServer` — the asyncio ingress for open-loop
-    traffic: bounded-queue load shedding
-    (:class:`~repro.errors.Overloaded`), digest-level coalescing of
-    identical in-flight queries, backpressure-aware batching, dispatch
-    to shard workers, and artifact hot-swap propagation.  Plus
-    :func:`open_loop_load`, the paced load generator behind the SLO
-    curves.
+    traffic: digest-level coalescing of identical in-flight queries,
+    backpressure-aware batching, dispatch to shard workers, and
+    artifact hot-swap propagation.  Plus :func:`open_loop_load`, the
+    paced load generator behind the SLO curves.
 :mod:`repro.serve.worker`
     :class:`ShardWorkerPool` — the model-replica workers behind the
     front door: one process (or inline replica) each, loaded from a
@@ -86,6 +86,19 @@ Micro-batching knobs (:class:`PredictionService`)
 ``cache_size``     LRU entries memoised by query-row digest (0 = off)
 ``chunk_rows``     row-chunk bound on the live cross-kernel panel
                    (``tile_rows`` is a deprecated alias)
+
+Serving core
+------------
+Both front ends answer under one policy, :mod:`repro.serve.core`: the
+query-row digest, the LRU label cache with version-guarded write-back,
+``queue_bound`` admission control, swap versioning, counters, latency
+windows and ``stats()``.  A swap publishes model, version and an empty
+cache together in one atomic rebind, so an answer's label always comes
+from the model its ``model_version`` names.  ``PredictionService``
+calls the core under its lock, ``AsyncPredictionServer`` from the event
+loop; each keeps only its queue, batcher, dispatch and swap transport.
+Both report the same ``stats()`` keys and, after a drained close,
+``requests == served + shed + errors + cancelled``.
 
 Lock discipline (``_guarded_by``)
 ---------------------------------

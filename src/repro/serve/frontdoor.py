@@ -5,8 +5,7 @@ piece that takes an *open-loop* request stream (arrivals do not wait for
 departures, the traffic shape of "millions of users") and composes the
 subsystems built underneath it:
 
-* **admission control** — a bounded ingress queue; a request arriving
-  while ``queue_bound`` are already pending is shed immediately with
+* **admission control** — a bounded ingress queue sheds with
   :class:`~repro.errors.Overloaded`, so accepted traffic keeps its
   latency instead of everyone queueing to death;
 * **cross-request coalescing** — identical in-flight queries (same row
@@ -27,14 +26,12 @@ subsystems built underneath it:
 * **hot swap** — :meth:`swap_artifact` propagates a new artifact
   version to every replica behind a full-pool barrier
   (:class:`~repro.serve.ModelRefresher` publishes straight into it);
-  in-flight batches finish on the version they started with, and the
-  label cache write-back is version-guarded exactly like the
-  thread-pool service's.
+  in-flight batches finish on the version they started with.
 
-Everything is observable through :mod:`repro.obs` (``serve.async.*``
-spans, shed/coalesce counters, queue-depth high-water gauge) and
-:meth:`stats` — which, after a drain, satisfies the accounting
-invariant ``requests == served + shed + errors``.
+Cache, admission, swap versioning and stats are the shared
+:mod:`repro.serve.core`, driven from the event loop.  Everything is
+observable through :mod:`repro.obs` (``serve.async.*`` spans and
+counters) and :meth:`stats`.
 
 Determinism note: asyncio is single-threaded, so a *synchronous* burst
 of :meth:`submit_nowait` calls enqueues every request before the
@@ -53,7 +50,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -62,10 +58,9 @@ import numpy as np
 from ..errors import ConfigError, Overloaded
 from ..gpu.launch import Launch
 from ..gpu.profiler import Profiler
-from ..obs import metrics, trace
-from ..obs.export import stats_to_prometheus
+from ..obs import trace
 from .config import ServeConfig, ServeResult
-from .service import PredictionService
+from .core import ServingCore, check_servable, digest, percentile, query_block, query_row
 from .worker import ShardWorkerPool
 
 __all__ = ["AsyncPredictionServer", "LoadReport", "open_loop_load"]
@@ -111,7 +106,7 @@ class AsyncPredictionServer:
 
         async with AsyncPredictionServer("model.npz", n_workers=4,
                                          queue_bound=256) as server:
-            fut = server.submit_nowait(row)     # may raise Overloaded
+            fut = server.submit_nowait(row)     # sheds with Overloaded
             result = await fut                   # ServeResult
 
     The server must be started inside a running event loop (``async
@@ -122,31 +117,15 @@ class AsyncPredictionServer:
     # has no locks — its shared state is confined to the event loop.
     # "event-loop" guards mean: in-place mutation only from loop-side
     # code; methods listed in _off_loop_methods run on foreign threads
-    # and may only *rebind* these attributes atomically (swap_artifact
-    # publishes a fresh cache/version that way).  ``_n_swaps`` is
-    # deliberately undeclared: the swap path owns it off-loop, serialized
-    # by the worker pool's swap barrier.
+    # and may only *rebind* these attributes atomically.  swap_artifact
+    # publishes the new model through ServingCore.swap, which is itself
+    # one atomic rebind of the core's generation.
     _guarded_by = {
         "_inflight": "event-loop",
-        "_cache": "event-loop",
-        "_latencies": "event-loop",
-        "_batch_sizes": "event-loop",
-        "_n_requests": "event-loop",
-        "_n_served": "event-loop",
-        "_n_shed": "event-loop",
-        "_n_coalesced": "event-loop",
-        "_n_cache_hits": "event-loop",
-        "_n_errors": "event-loop",
-        "_n_cancelled": "event-loop",
-        "_n_batches": "event-loop",
-        "_n_backend_rows": "event-loop",
-        "_queue_peak": "event-loop",
-        "_t_first": "event-loop",
-        "_t_last": "event-loop",
+        "_core": "event-loop",
         "_started": "event-loop",
         "_closed": "event-loop",
         "_pool": "event-loop",
-        "_model_version": "event-loop",
     }
     _off_loop_methods = ("swap_artifact",)
 
@@ -167,38 +146,21 @@ class AsyncPredictionServer:
             processes = isinstance(source, str)
         self.processes = bool(processes)
         self._start_method = start_method
-        self.model = self._load_source(source)
-        if not hasattr(self.model, "predict"):
-            raise ConfigError("model must expose the engine predict contract")
-        if not hasattr(self.model, "labels_"):
-            raise ConfigError("model is not fitted; fit (or load) it before serving")
+        model = self._load_source(source)
+        check_servable(model)
         self.profiler_ = profiler if profiler is not None else Profiler()
 
         self._pool: Optional[ShardWorkerPool] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = False
         self._closed = False
-        self._model_version = 1
-        self._n_swaps = 0
-
-        # lifetime counters (single-threaded on the loop, no lock needed;
-        # swap_artifact's cross-thread writes are single atomic rebinds)
-        self._n_requests = 0
-        self._n_served = 0
-        self._n_shed = 0
-        self._n_coalesced = 0
-        self._n_cache_hits = 0
-        self._n_errors = 0
-        self._n_cancelled = 0
-        self._n_batches = 0
-        self._n_backend_rows = 0
-        self._queue_peak = 0
-        self._batch_sizes: deque = deque(maxlen=cfg.latency_window)
-        self._latencies: deque = deque(maxlen=cfg.latency_window)
-        self._t_first: Optional[float] = None
-        self._t_last: Optional[float] = None
-        self._cache: "OrderedDict[str, int]" = OrderedDict()
+        self._core = ServingCore(model, cfg, "serve.async")
         self._inflight: Dict[str, _Pending] = {}
+
+    @property
+    def model(self):
+        """The currently served model (replaced by :meth:`swap_artifact`)."""
+        return self._core.generation.model
 
     @staticmethod
     def _load_source(source):
@@ -286,7 +248,7 @@ class AsyncPredictionServer:
             for fut, _ in p.waiters:
                 if not fut.done():
                     fut.cancel()
-                    self._n_cancelled += 1
+                    self._core.count("cancelled")
 
     # ------------------------------------------------------------------
     # ingress
@@ -305,66 +267,27 @@ class AsyncPredictionServer:
             raise ConfigError("server is not started; use 'async with' or await start()")
         if self._closed:
             raise ConfigError("server is closed")
-        row = np.ascontiguousarray(np.asarray(query, dtype=np.float64))
-        if row.ndim != 1:
-            raise ConfigError(f"submit takes one 1-D query row, got shape {row.shape}")
+        row = query_row(query)
         t0 = time.perf_counter()
-        instrumented = trace.enabled
-        self._n_requests += 1
-        if self._t_first is None:
-            self._t_first = t0
-        if instrumented:
-            metrics.counter("serve.async.requests").inc()
-        key = PredictionService._digest(row)
-        cache = self._cache
-        if self.config.cache_size and key in cache:
-            cache.move_to_end(key)
-            self._n_cache_hits += 1
-            self._n_served += 1
-            now = time.perf_counter()
-            self._latencies.append(now - t0)
-            self._t_last = now
-            if instrumented:
-                metrics.counter("serve.async.cache_hits").inc()
+        key = digest(row)
+        hit = self._core.arrive(key, t0)
+        if hit is not None:
             fut = self._loop.create_future()
-            fut.set_result(
-                ServeResult(
-                    cache[key],
-                    model_version=self._model_version,
-                    cache_hit=True,
-                    latency_s=now - t0,
-                )
-            )
+            fut.set_result(hit)
             return fut
         pending = self._inflight.get(key)
         if pending is not None:
             # identical query already on its way to the backend: ride along
-            self._n_coalesced += 1
-            if instrumented:
-                metrics.counter("serve.async.coalesced").inc()
+            self._core.count("coalesced")
             fut = self._loop.create_future()
             pending.waiters.append((fut, t0))
             return fut
-        bound = self.config.queue_bound
-        if bound is not None and self._queue.qsize() >= bound:
-            self._n_shed += 1
-            if instrumented:
-                metrics.counter("serve.async.shed").inc()
-                trace.instant("serve.async.shed", queued=self._queue.qsize())
-            raise Overloaded(
-                f"ingress queue is full ({bound} pending requests); shed"
-            )
-        p = _Pending(row, key)
+        self._core.admit(self._queue.qsize())
         fut = self._loop.create_future()
+        p = _Pending(row, key)
         p.waiters.append((fut, t0))
         self._inflight[key] = p
         self._queue.put_nowait(p)
-        depth = self._queue.qsize()
-        if depth > self._queue_peak:
-            self._queue_peak = depth
-        if instrumented:
-            metrics.gauge("serve.async.queue_depth").max(depth)
-            trace.instant("serve.async.enqueue", queued=depth)
         return fut
 
     async def submit(self, query) -> ServeResult:
@@ -381,9 +304,7 @@ class AsyncPredictionServer:
         :class:`~repro.serve.ServeResult` list when ``details=True``.
         Sheds propagate as :class:`~repro.errors.Overloaded`.
         """
-        q = np.asarray(queries, dtype=np.float64)
-        if q.ndim != 2:
-            raise ConfigError(f"predict_many takes a 2-D query block, got shape {q.shape}")
+        q = query_block(queries, "predict_many")
         futures = [self.submit_nowait(row) for row in q]
         results = await asyncio.gather(*futures)
         if details:
@@ -464,49 +385,22 @@ class AsyncPredictionServer:
                 },
             )
         )
-        self._n_batches += 1
-        self._n_backend_rows += len(batch)
-        self._batch_sizes.append(len(batch))
-        self._t_last = t1
-        instrumented = trace.enabled
-        if instrumented:
-            metrics.counter("serve.async.batches").inc()
-        # a batch that raced a swap still answers (labels are consistent
-        # with the replica it ran on) but must not seed the new version's
-        # cache with stale results
-        cache_ok = bool(self.config.cache_size) and version == self._model_version
-        cache = self._cache
-        hist = metrics.histogram("serve.async.latency_s") if instrumented else None
-        for p, label in zip(batch, labels):
+        results = self._core.complete(
+            version,
+            [p.key for p in batch],
+            labels,
+            [[t_enq for _, t_enq in p.waiters] for p in batch],
+            t1,
+        )
+        for p, answers in zip(batch, results):
             self._inflight.pop(p.key, None)
-            label = int(label)
-            if cache_ok:
-                cache[p.key] = label
-                cache.move_to_end(p.key)
-                while len(cache) > self.config.cache_size:
-                    cache.popitem(last=False)
-            for i, (fut, t_enq) in enumerate(p.waiters):
-                lat = t1 - t_enq
-                self._latencies.append(lat)
-                self._n_served += 1
-                if hist is not None:
-                    hist.observe(lat)
+            for (fut, _), result in zip(p.waiters, answers):
                 if not fut.done():
-                    fut.set_result(
-                        ServeResult(
-                            label,
-                            model_version=version,
-                            coalesced=(i > 0),
-                            latency_s=lat,
-                        )
-                    )
+                    fut.set_result(result)
 
     def _fail_pending(self, p: _Pending, exc: Exception) -> None:
         self._inflight.pop(p.key, None)
-        self._n_errors += len(p.waiters)
-        self._t_last = time.perf_counter()
-        if trace.enabled:
-            metrics.counter("serve.async.errors").inc(len(p.waiters))
+        self._core.fail(len(p.waiters))
         for fut, _ in p.waiters:
             if not fut.done():
                 fut.set_exception(exc)
@@ -525,14 +419,9 @@ class AsyncPredictionServer:
         if self._pool is None:
             raise ConfigError("server is not started")
         version = self._pool.swap(artifact)
-        self.model = self._load_source(artifact)
-        self._model_version = version
-        self._n_swaps += 1
-        self._cache = OrderedDict()  # atomic rebind: old cache dies with its version
-        if trace.enabled:
-            trace.instant("serve.async.model_swap", version=version)
-            metrics.counter("serve.async.model_swaps").inc()
-        return version
+        # one atomic rebind publishes model, version and an empty cache
+        # together; the old cache dies with its generation
+        return self._core.swap(self._load_source(artifact), version)
 
     async def aswap_artifact(self, artifact: str) -> int:
         """:meth:`swap_artifact` without blocking the event loop."""
@@ -542,54 +431,9 @@ class AsyncPredictionServer:
     # stats
     # ------------------------------------------------------------------
     def stats(self, *, format: str = "dict"):
-        """Serving counters; superset of ``PredictionService.stats()``.
-
-        Adds the front-door accounting: ``shed`` / ``coalesced`` /
-        ``errors`` / ``cancelled``, the backend-side ``backend_rows``
-        (unique rows actually predicted — ``requests - shed - errors -
-        cancelled - backend_rows`` duplicates and cache hits never
-        reached a worker), ``queue_peak``, ``p99``, and ``workers``.
-        After a drained close, ``requests == served + shed + errors +
-        cancelled``.
-        """
-        if format not in ("dict", "prom"):
-            raise ConfigError(f"format must be 'dict' or 'prom', got {format!r}")
-        lat = list(self._latencies)
-        sizes = list(self._batch_sizes)
-        n_req = self._n_requests
-        served = self._n_served
-        span = (
-            (self._t_last - self._t_first)
-            if (self._t_first is not None and self._t_last is not None)
-            else 0.0
-        )
-        pct = PredictionService._percentile
-        out = {
-            "requests": n_req,
-            "served": served,
-            "shed": self._n_shed,
-            "coalesced": self._n_coalesced,
-            "cache_hits": self._n_cache_hits,
-            "cache_hit_rate": self._n_cache_hits / n_req if n_req else 0.0,
-            "errors": self._n_errors,
-            "cancelled": self._n_cancelled,
-            "batches": self._n_batches,
-            "backend_rows": self._n_backend_rows,
-            "mean_batch_size": float(np.mean(sizes)) if sizes else 0.0,
-            "queue_peak": self._queue_peak,
-            "latency_mean_ms": float(np.mean(lat)) * 1e3 if lat else 0.0,
-            "latency_p50_ms": pct(lat, 50) * 1e3,
-            "latency_p95_ms": pct(lat, 95) * 1e3,
-            "latency_p99_ms": pct(lat, 99) * 1e3,
-            "latency_max_ms": float(np.max(lat)) * 1e3 if lat else 0.0,
-            "queries_per_s": served / span if span > 0 else 0.0,
-            "model_version": self._model_version,
-            "model_swaps": self._n_swaps,
-            "workers": self.config.n_workers,
-        }
-        if format == "prom":
-            return stats_to_prometheus(out)
-        return out
+        """Serving counters (:meth:`repro.serve.core.ServingCore.stats`);
+        ``coalesced`` and ``backend_rows`` show the front door's dedup."""
+        return self._core.stats(format=format)
 
 
 # ----------------------------------------------------------------------
@@ -649,9 +493,7 @@ async def open_loop_load(
         raise ConfigError(f"qps must be > 0, got {qps}")
     if burst < 1:
         raise ConfigError(f"burst must be >= 1, got {burst}")
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2:
-        raise ConfigError(f"open_loop_load takes a 2-D query block, got shape {q.shape}")
+    q = query_block(queries, "open_loop_load")
     loop = asyncio.get_running_loop()
     start = loop.time()
     futures: List[asyncio.Future] = []
@@ -671,7 +513,6 @@ async def open_loop_load(
     ok = [r for r in results if isinstance(r, ServeResult)]
     errors = len(results) - len(ok)
     lats = [r.latency_s for r in ok]
-    pct = PredictionService._percentile
     total = q.shape[0]
     return LoadReport(
         offered_qps=float(qps),
@@ -682,8 +523,8 @@ async def open_loop_load(
         duration_s=duration,
         achieved_qps=len(ok) / duration if duration > 0 else 0.0,
         shed_rate=shed / total if total else 0.0,
-        p50_ms=pct(lats, 50) * 1e3,
-        p95_ms=pct(lats, 95) * 1e3,
-        p99_ms=pct(lats, 99) * 1e3,
+        p50_ms=percentile(lats, 50) * 1e3,
+        p95_ms=percentile(lats, 95) * 1e3,
+        p99_ms=percentile(lats, 99) * 1e3,
         max_ms=max(lats) * 1e3 if lats else 0.0,
     )

@@ -113,6 +113,37 @@ class TestMutationOutsideLock:
         )
         assert out == []
 
+    def test_flags_any_method_call_on_guarded_attr_outside_lock(self):
+        # not a known container mutator: a helper object owning counters
+        src = (
+            "import threading\n"
+            "class C:\n"
+            '    _guarded_by = {"_core": "_lock"}\n'
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._core = Core()\n"
+            "    def done(self, n):\n"
+            "        self._core.record(n)\n"
+        )
+        out = _findings(src)
+        assert [f.rule for f in out] == ["RPR106"]
+        assert "self._core" in out[0].message
+
+    def test_method_call_on_guarded_attr_under_lock_passes(self):
+        src = (
+            "import threading\n"
+            "class C:\n"
+            '    _guarded_by = {"_core": "_lock"}\n'
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._core = Core()\n"
+            "    def done(self, n):\n"
+            "        with self._lock:\n"
+            "            self._core.record(n)\n"
+            "            return self._core.generation.cache.get(n)\n"
+        )
+        assert _findings(src) == []
+
     def test_nested_function_starts_from_clean_slate(self):
         # the closure runs later, under whatever locks its caller holds
         out = _findings(
@@ -182,6 +213,14 @@ class TestEventLoopGuards:
     def test_off_loop_atomic_rebind_passes(self):
         out = _findings(
             self.SRC + "    def swap(self, m):\n        self._model = m\n"
+        )
+        assert out == []
+
+    def test_off_loop_non_mutator_call_passes(self):
+        # loop-confined state: only the in-place mutators count, so an
+        # object whose method is an atomic rebind may be called off-loop
+        out = _findings(
+            self.SRC + "    def swap(self, m):\n        self._model.publish(m)\n"
         )
         assert out == []
 
@@ -275,12 +314,14 @@ class TestRealTreeDeclarations:
         decl = self._decl("src/repro/serve/service.py", "PredictionService")
         assert decl is not None
         assert decl.guards["_queue"] == ("_lock", "_not_empty")
+        assert decl.guards["_core"] == ("_lock",)
         assert decl.expand(("_not_empty",)) >= {"_lock", "_not_empty"}
 
     def test_frontdoor_declares_loop_confined_state(self):
         decl = self._decl("src/repro/serve/frontdoor.py", "AsyncPredictionServer")
         assert decl is not None
         assert decl.guards["_inflight"] == ("event-loop",)
+        assert decl.guards["_core"] == ("event-loop",)
         assert "swap_artifact" in decl.off_loop_methods
 
     def test_metrics_instruments_declare_their_lock(self):
