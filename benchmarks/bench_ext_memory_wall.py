@@ -31,7 +31,7 @@ def test_ext_memory_wall(benchmark):
     otf = benchmark(run)
     std = PopcornKernelKMeans(4, dtype=np.float64, max_iter=5,
                               check_convergence=False).fit(x, init_labels=init)
-    tiled_exec = PopcornKernelKMeans(4, dtype=np.float64, tile_rows=32, max_iter=5,
+    tiled_exec = PopcornKernelKMeans(4, dtype=np.float64, chunk_rows=32, max_iter=5,
                                      check_convergence=False).fit(x, init_labels=init)
     assert np.array_equal(otf.labels_, std.labels_)
     assert np.array_equal(tiled_exec.labels_, std.labels_)

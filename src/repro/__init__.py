@@ -12,9 +12,8 @@ Layout
     NumPy/CSR, ``backend="device"`` for the simulated GPU,
     ``backend="sharded:<g>"`` for SPMD over ``g`` simulated devices —
     identical numerics on all of them, selectable on every estimator),
-    and the row-tiled distance pipeline (``tile_rows=``) that streams
-    kernel matrices larger than device memory tile-by-tile instead of
-    raising.
+    and the streamed mode (``chunk_rows=``) that runs kernel matrices
+    larger than device memory panel by panel instead of raising.
 ``repro.core``
     The paper's contribution: :class:`PopcornKernelKMeans` and the
     SpMM/SpMV distance pipeline (each estimator is a distance-step

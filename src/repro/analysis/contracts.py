@@ -97,7 +97,6 @@ def check_params_class(root: Path, rule: Rule, cls: type) -> List[Finding]:
         out.append(rule.finding(path, line, f"{cls.__name__}: {msg}"))
 
     specs = cls.param_specs()
-    aliases = cls.param_aliases()
     sig = inspect.signature(cls.__init__)
     sig_params = {
         name: p
@@ -113,7 +112,7 @@ def check_params_class(root: Path, rule: Rule, cls: type) -> List[Finding]:
         p.kind == inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
     )
 
-    # 1. every __init__ kwarg is a declared parameter (or a declared alias)
+    # 1. every __init__ kwarg is a declared parameter
     for name, p in sig_params.items():
         if name in specs:
             spec = specs[name]
@@ -134,27 +133,16 @@ def check_params_class(root: Path, rule: Rule, cls: type) -> List[Finding]:
                     f"__init__ default {name}={p.default!r} disagrees with "
                     f"its ParamSpec default {spec.default!r}"
                 )
-        elif name in aliases:
-            canonical = aliases[name]
-            if p.default is inspect.Parameter.empty or not _values_equal(
-                p.default, specs[canonical].default
-            ):
-                flag(
-                    f"alias kwarg {name!r} must default to its canonical "
-                    f"parameter's ({canonical!r}) ParamSpec default "
-                    f"({specs[canonical].default!r})"
-                )
         else:
             flag(
-                f"__init__ kwarg {name!r} is not declared in _params "
-                "(nor an alias); declare a ParamSpec for it"
+                f"__init__ kwarg {name!r} is not declared in _params; "
+                "declare a ParamSpec for it"
             )
 
     # 2. every declared parameter is constructible through __init__
     if not has_var_kw:
-        accepted = set(sig_params) | set(aliases)
         for name in specs:
-            if name not in accepted:
+            if name not in sig_params:
                 flag(
                     f"declared parameter {name!r} is not accepted by "
                     "__init__; get_params()/set_params round-trips break"
@@ -199,7 +187,7 @@ class ParamSpecConformanceRule(Rule):
         "Every estimator and kernel declares its full constructor surface "
         "as _params ParamSpecs; this rule imports the package and checks, "
         "for each registered estimator and each Kernel subclass, that "
-        "every __init__ kwarg is declared (or is a declared alias), that "
+        "every __init__ kwarg is declared, that "
         "__init__ defaults equal the ParamSpec defaults, that every "
         "declared parameter is accepted by __init__, and that clone() "
         "round-trips get_params().  The runtime twin lives in "

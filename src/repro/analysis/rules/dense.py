@@ -40,7 +40,7 @@ _ALLOCATORS = {"zeros", "empty", "ones", "full"}
 _UNFUSED_HELPERS = {
     "popcorn_distances_host": "src/repro/core/distances.py",
     "weighted_distances_host": "src/repro/core/weighted.py",
-    "tiled_popcorn_distances_host": "src/repro/engine/tiling.py",
+    "_tiled_popcorn_distances_host": "src/repro/bench/experiments/reduction.py",
 }
 
 #: names the hot paths give a whole kernel matrix (``state.k_host`` too)

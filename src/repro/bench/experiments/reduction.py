@@ -15,12 +15,13 @@ import time
 
 import numpy as np
 
-from ...errors import check
+from ..._typing import check_labels
+from ...errors import ShapeError, check
 from ...core.assignment import argmin_assign
-from ...engine.reduction import fused_popcorn_argmin
-from ...engine.tiling import tiled_popcorn_distances_host
+from ...engine.reduction import chunk_ranges, fused_popcorn_argmin
 from ...estimators import make_estimator
 from ...modeling import model_popcorn_chunked, model_popcorn_tiled
+from ...sparse import selection_matrix, spmm, spmv, weighted_selection_matrix
 from ..registry import ExperimentResult, ExperimentSpec, RunConfig, register_experiment
 from .common import ITERS, _probe_points
 
@@ -46,6 +47,41 @@ def _time_best(fn, repeats: int = MEASURED_REPEATS) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _tiled_popcorn_distances_host(k_mat, labels, k, *, tile_rows, weights=None, dtype=None):
+    """The legacy row-tiled pipeline: the comparator the fused engine replaced.
+
+    Computes ``D = -2 K V^T + P~ + C~`` with the SpMM run over column
+    panels ``K[:, lo:hi]`` (by symmetry, the row tiles of K), so only one
+    panel is live at a time — but the full ``n x k`` block D is still
+    materialised for a separate argmin pass.  The CSR SpMM computes
+    every output entry independently, so the result is bit-for-bit the
+    monolithic pipeline's for every ``tile_rows``.  Returns ``(D, V)``;
+    with ``weights`` the selection matrix is the weighted ``V_w``.
+    """
+    n = k_mat.shape[0]
+    if k_mat.shape != (n, n):
+        raise ShapeError("kernel matrix must be square")
+    lab = check_labels(labels, n, k)
+    dt = np.dtype(dtype) if dtype is not None else k_mat.dtype
+    km = k_mat.astype(dt, copy=False)
+    if weights is None:
+        v = selection_matrix(lab, k, dtype=dt)
+    else:
+        v = weighted_selection_matrix(lab, k, weights, dtype=dt)
+    e = np.empty((n, k), dtype=dt)
+    for lo, hi in chunk_ranges(n, tile_rows):
+        # the SpMM gathers rows of its dense operand, so the column
+        # slice can be passed as a view — no per-panel contiguous copy
+        e[lo:hi] = spmm(v, km[:, lo:hi], alpha=-2.0).T
+    # centroid norms via the z-gather SpMV; the -0.5 cancels the -2
+    z = np.ascontiguousarray(e[np.arange(n), lab])
+    c_norms = spmv(v, z, alpha=-0.5)
+    d = e
+    d += np.diagonal(km)[:, None]
+    d += c_norms[None, :]
+    return d, v
 
 
 def run_ext_reduction_engine(cfg: RunConfig) -> ExperimentResult:
@@ -82,7 +118,7 @@ def run_ext_reduction_engine(cfg: RunConfig) -> ExperimentResult:
     labels = np.random.default_rng(cfg.base_seed).integers(0, m_k, size=m_n).astype(np.int32)
     c_rows, c_cols = MEASURED_CHUNK
 
-    d_legacy, _ = tiled_popcorn_distances_host(km, labels, m_k, tile_rows=c_rows)
+    d_legacy, _ = _tiled_popcorn_distances_host(km, labels, m_k, tile_rows=c_rows)
     ref_labels = argmin_assign(d_legacy)
     fused = fused_popcorn_argmin(
         km, labels, m_k, chunk_rows=c_rows, chunk_cols=c_cols, n_threads=1
@@ -91,7 +127,9 @@ def run_ext_reduction_engine(cfg: RunConfig) -> ExperimentResult:
     min_d_equal = bool(np.array_equal(fused.min_d, d_legacy[np.arange(m_n), ref_labels]))
 
     t_legacy = _time_best(
-        lambda: argmin_assign(tiled_popcorn_distances_host(km, labels, m_k, tile_rows=c_rows)[0])
+        lambda: argmin_assign(
+            _tiled_popcorn_distances_host(km, labels, m_k, tile_rows=c_rows)[0]
+        )
     )
     t_fused_1 = _time_best(
         lambda: fused_popcorn_argmin(

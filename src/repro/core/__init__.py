@@ -1,11 +1,7 @@
 """The paper's contribution: matrix-centric Kernel K-means (Popcorn)."""
 
 from .assignment import ConvergenceTracker, argmin_assign, objective_value
-from .distances import (
-    distance_matrix_reference,
-    popcorn_distance_step,
-    popcorn_distances_host,
-)
+from .distances import distance_matrix_reference, popcorn_distances_host
 from .intensity import distances_intensity, kernel_matrix_intensity
 from .norms import (
     centroid_norms_reference,
@@ -34,7 +30,6 @@ __all__ = [
     "verify_selection_invariants",
     "distance_matrix_reference",
     "popcorn_distances_host",
-    "popcorn_distance_step",
     "centroid_norms_spmv",
     "centroid_norms_spgemm",
     "centroid_norms_reference",

@@ -5,14 +5,18 @@ The matrix-centric identity is Eq. 10::
     D = -2 K V^T + P~ + C~
 
 with ``P~`` the broadcast of ``diag(K)`` and ``C~`` the broadcast of the
-centroid norms.  Three implementations live here:
+centroid norms.  Two reference implementations live here:
 
 * :func:`distance_matrix_reference` — dense brute force (tests);
-* :func:`popcorn_distances_host` — the SpMM + SpMV pipeline on plain
-  NumPy/CSR (no device, used by property tests);
-* :func:`popcorn_distance_step` — the full device pipeline (SpMM, gather,
-  SpMV, fused add) charging modeled time; this is the body of Alg. 2
-  lines 7-10 and what the estimator iterates.
+* :func:`popcorn_distances_host` — the SpMM + SpMV pipeline of Alg. 2
+  lines 7-10 on plain NumPy/CSR, materialising the full ``n x k`` block
+  (property tests and the bitwise contract of the fused engine).
+
+What the estimators iterate is the chunked fused reduction,
+:func:`repro.engine.reduction.fused_popcorn_argmin`, bitwise equal to
+:func:`popcorn_distances_host` plus a row argmin; the device backend
+charges its modeled launches from
+:func:`repro.modeling.popcorn_step_launches`.
 """
 
 from __future__ import annotations
@@ -23,16 +27,12 @@ import numpy as np
 
 from .._typing import check_labels
 from ..errors import ShapeError
-from ..gpu import custom, cusparse
-from ..gpu.device import Device
-from ..gpu.memory import DeviceArray
 from ..sparse import CSRMatrix, spmm, spmv
 from .selection import build_selection
 
 __all__ = [
     "distance_matrix_reference",
     "popcorn_distances_host",
-    "popcorn_distance_step",
 ]
 
 
@@ -82,47 +82,4 @@ def popcorn_distances_host(
     d = e
     d += np.diagonal(k_mat).astype(dt)[:, None]
     d += c_norms[None, :].astype(dt)
-    return d, v
-
-
-def popcorn_distance_step(
-    device: Device,
-    k_mat: DeviceArray,
-    p_norms: DeviceArray,
-    labels: np.ndarray,
-    k: int,
-    *,
-    weights: np.ndarray | None = None,
-) -> Tuple[DeviceArray, cusparse.DeviceCSR]:
-    """One full device-side distance computation (Alg. 2 lines 7-10).
-
-    Launch sequence (each charging modeled time):
-
-    1. ``v_build``     — V from the current assignments (CSR);
-    2. ``cusparse.spmm`` — ``E = -2 K V^T``;
-    3. ``z_gather``    — ``z_i = E[i, cluster(i)]``;
-    4. ``cusparse.spmv`` — ``C~ = -0.5 V z`` (the -0.5 cancels the -2);
-    5. ``d_add``       — ``D = E + P~ + C~`` in place on E.
-
-    Launches are tagged with the Fig. 8 phases (``v_build`` under
-    ``argmin_update``, the rest under ``distances``), matching the
-    analytical model.  With ``weights``, the weighted selection matrix
-    ``V_w`` drives the same pipeline (the z-gather SpMV trick survives
-    weighting — ``V_w`` keeps one nonzero per column).
-
-    Returns the distances buffer and the V matrix (caller frees both).
-    """
-    device.check_resident(k_mat, p_norms)
-    n = k_mat.shape[0]
-    lab = check_labels(labels, n, k)
-    prof = device.profiler
-    with prof.phase("argmin_update"):
-        v = custom.v_build(device, lab, k, dtype=k_mat.dtype, weights=weights)
-    with prof.phase("distances"):
-        e = cusparse.spmm_kvt(device, k_mat, v, alpha=-2.0)
-        z = custom.z_gather(device, e, lab)
-        c_norms = cusparse.spmv(device, v, z, alpha=-0.5)
-        z.free()
-        d = custom.d_add(device, e, p_norms, c_norms)
-        c_norms.free()
     return d, v

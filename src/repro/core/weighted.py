@@ -21,8 +21,8 @@ The weighted selection matrix construction lives in
 module provides the weighted distance pipeline (host form) and
 :class:`WeightedPopcornKernelKMeans`, which runs on the shared engine —
 so it accepts ``backend=`` (``"host"`` by default; ``"device"`` drives
-the same ``V_w`` pipeline through the simulated-GPU shims with modeled
-timings) and ``tile_rows`` (the row-tiled streaming mode).  The spectral
+the same ``V_w`` numerics with modeled device timings) and ``chunk_rows``
+(the row-chunked reduction, or streamed panels on the device).  The spectral
 extension (:mod:`repro.graph`) builds on it.
 """
 
@@ -86,8 +86,8 @@ class WeightedPopcornKernelKMeans(BaseKernelKMeans):
     used, matching Dhillon et al.
 
     Runs on the engine's ``host`` backend by default; ``backend="device"``
-    executes the same pipeline through the simulated-GPU shims (V_w build,
-    SpMM, z-gather, SpMV, fused add) with modeled per-phase timings.
+    executes the same numerics and charges the modeled launches of the
+    pipeline (V_w build, SpMM, z-gather, SpMV, fused add) per phase.
 
     Attributes after ``fit``: ``labels_``, ``n_iter_``, ``objective_``,
     ``objective_history_``, ``converged_``, ``timings_``, ``backend_``.
@@ -128,7 +128,6 @@ class WeightedPopcornKernelKMeans(BaseKernelKMeans):
         *,
         kernel: Kernel | str = None,
         backend: str = "auto",
-        tile_rows: int | None = None,
         chunk_rows: int | None = None,
         chunk_cols: int | None = None,
         n_threads: int | None = None,
@@ -147,7 +146,6 @@ class WeightedPopcornKernelKMeans(BaseKernelKMeans):
             n_clusters=n_clusters,
             kernel=kernel,
             backend=backend,
-            tile_rows=tile_rows,
             chunk_rows=chunk_rows,
             chunk_cols=chunk_cols,
             n_threads=n_threads,

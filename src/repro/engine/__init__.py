@@ -22,13 +22,9 @@ runs on this subsystem:
   the shared predict path all run on it, with labels bit-for-bit equal
   to the legacy full-matrix pipeline for every chunk shape and thread
   count;
-* :mod:`~repro.engine.tiling` is the row-tiled distance pipeline:
-  ``E = -2 K V^T`` in streamed row blocks, bit-for-bit equal to the
-  monolithic SpMM.  ``chunk_rows=`` is the one row-granularity knob
-  everywhere — the device backend streams kernel-matrix panels of that
-  height over PCIe, host-family backends chunk the fused reduction with
-  it (``tile_rows=`` survives as a deprecated alias, resolved by the
-  params protocol);
+* ``chunk_rows=`` is the one row-granularity knob everywhere — the
+  device backend models streaming kernel-matrix panels of that height
+  over PCIe, host-family backends chunk the fused reduction with it;
 * :class:`~repro.engine.base.OutOfSamplePredictor` is the shared
   out-of-sample contract: one ``predict`` / ``predict_batch``
   implementation (chunked fused cross-kernel argmin, never the full
@@ -73,12 +69,10 @@ from .reduction import (
     chunk_ranges,
     csr_row_slice,
     fused_popcorn_argmin,
-    resolve_rows_alias,
     validate_chunk_size,
     validate_n_threads,
 )
 from .sharded import DEFAULT_SHARD_DEVICES, ShardedBackend
-from .tiling import row_tiles, tiled_popcorn_distances_host, validate_tile_rows
 
 __all__ = [
     "ParamSpec",
@@ -109,7 +103,6 @@ __all__ = [
     "fused_popcorn_argmin",
     "chunk_ranges",
     "csr_row_slice",
-    "resolve_rows_alias",
     "validate_chunk_size",
     "validate_n_threads",
     "EWA_ALPHA",
@@ -118,7 +111,4 @@ __all__ = [
     "restore_online_state",
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_CHUNK_COLS",
-    "row_tiles",
-    "tiled_popcorn_distances_host",
-    "validate_tile_rows",
 ]

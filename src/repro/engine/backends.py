@@ -1,38 +1,41 @@
 """Pluggable execution backends for the shared kernel-k-means engine.
 
 A :class:`Backend` is the substrate the estimator fit loop runs on.  Two
-implementations are registered:
+implementations are registered here (the sharded one lives in
+:mod:`repro.engine.sharded`):
 
 ``host``
-    Plain NumPy/CSR arrays — the from-scratch sparse kernels with no
-    device bookkeeping.  Launches are recorded with *measured* wall-clock
-    seconds (names prefixed ``host.``), so ``timings_`` stays populated.
+    Plain NumPy/CSR arrays with no device bookkeeping.  Launches are
+    recorded with *measured* wall-clock seconds (names prefixed
+    ``host.``), so ``timings_`` stays populated.
 ``device``
-    The simulated-GPU path: buffers live against the device allocator and
-    every launch charges modeled time, exactly as the pre-engine
-    estimators did (the launch log is pinned against
-    :mod:`repro.modeling` launch for launch).
+    The simulated GPU: K and ``P~`` are held against the device
+    allocator and every stage charges the modeled launches of
+    :mod:`repro.modeling`'s per-stage generators, so the executed launch
+    log equals the analytical model's by construction.
 
-Both backends run the **same numerics**: the host pipeline and the device
-shims share the CSR kernels, and scalings are powers of two, so
-``backend="host"`` and ``backend="device"`` produce identical labels from
-identical seeds (tested).  Both honour ``tile_rows`` — the row-tiled
-pipeline of :mod:`repro.engine.tiling` — which on the device backend
-streams kernel-matrix panels from host memory instead of requiring K to
-be resident, converting the device memory wall into a transfer cost.
+There is **one numerics path**: every backend builds K with
+:func:`_host_kernel_matrix`, runs each Popcorn step through the chunked
+fused reduction (:func:`_fused_step`) and each baseline step through
+:func:`baseline_distances`, so ``backend="host"``, ``"device"`` and
+``"sharded:<g>"`` produce identical labels, objectives and centroid
+norms from identical seeds by construction.  ``chunk_rows`` is the one
+row-granularity knob: host-family backends chunk the fused reduction
+with it, and the device backend models streaming K from host memory in
+``chunk_rows x n`` panels instead of holding it resident, converting
+the device memory wall into a transfer cost.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import AllocationError, ConfigError, ShapeError
-from ..gpu import blas, cost, custom, cusparse, raft, thrust
 from ..gpu.device import Device
 from ..gpu.launch import Launch
 from ..gpu.memory import DeviceArray
@@ -40,9 +43,15 @@ from ..gpu.profiler import Profiler
 from ..gpu.spec import DeviceSpec
 from ..kernels.base import Kernel
 from ..kernels.dispatch import choose_gram_method
-from ..kernels.gram import device_kernel_matrix
+from ..modeling import (
+    argmin_launches,
+    baseline_step_launches,
+    kernel_stage_launches,
+    load_stage_launches,
+    popcorn_step_launches,
+    record_launches,
+)
 from .reduction import fused_popcorn_argmin, validate_chunk_size, validate_n_threads
-from .tiling import row_tiles, validate_tile_rows
 
 __all__ = [
     "Backend",
@@ -54,6 +63,8 @@ __all__ = [
     "unregister_backend",
     "get_backend",
     "available_backends",
+    "baseline_distances",
+    "syrk_mirror",
 ]
 
 
@@ -61,19 +72,19 @@ __all__ = [
 class EngineState:
     """Per-``fit`` execution state owned by a backend.
 
-    The estimator treats this as an opaque handle; backends stash the
-    kernel-matrix operand in whichever representation they execute on
-    (``k_op`` resident on the device, ``k_host`` in host memory for the
-    host backend and for device streaming mode).
+    The estimator treats this as an opaque handle.  Every backend keeps
+    the kernel matrix and its diagonal in host memory (``k_host``,
+    ``p_norms_host``) and executes on them; the device backend also
+    lists the allocator reservations it holds for the fit
+    (``resident``: K in resident mode, and ``P~``).
     """
 
     backend: "Backend"
     n_clusters: int
     dtype: np.dtype
-    tile_rows: Optional[int]
     profiler: Profiler
-    # chunked-reduction engine knobs (host-family backends); ``tile_rows``
-    # doubles as the ``chunk_rows`` compatibility alias when unset
+    # chunked-reduction engine knobs; on the device backend ``chunk_rows``
+    # is the streamed panel height
     chunk_rows: Optional[int] = None
     chunk_cols: Optional[int] = None
     n_threads: Optional[int] = None
@@ -84,10 +95,9 @@ class EngineState:
     # span index at fit start (a repro.obs trace mark), so the fitted
     # ``trace_`` summary covers exactly this fit's window
     trace_mark: int = 0
-    k_op: Optional[DeviceArray] = None
     k_host: Optional[np.ndarray] = None
-    p_norms: Optional[DeviceArray] = None
     p_norms_host: Optional[np.ndarray] = None
+    resident: List[DeviceArray] = field(default_factory=list)
     gram_method: str = ""
     # multi-device execution (the sharded backend): one profiler per
     # simulated device plus a collective-communication log; ``blocks``
@@ -98,12 +108,10 @@ class EngineState:
     blocks: Optional[list] = None
 
     def kernel_host(self) -> np.ndarray:
-        """Host view of the kernel matrix (whichever backend holds it)."""
-        if self.k_host is not None:
-            return self.k_host
-        if self.k_op is None:
+        """Host view of the kernel matrix."""
+        if self.k_host is None:
             raise ConfigError("kernel matrix not loaded; run the kernel stage first")
-        return self.k_op.a
+        return self.k_host
 
 
 class DistanceStep:
@@ -111,9 +119,9 @@ class DistanceStep:
 
     Two shapes exist:
 
-    * **materialised** — ``d`` is a host ndarray (or ``d_buf`` a
-      device-resident buffer); the objective and empty-cluster policy
-      read entries out of the full ``n x k`` block;
+    * **materialised** — ``d`` is the full ``n x k`` host block (the
+      baseline's three kernels produce it); the objective and
+      empty-cluster policy read entries out of it;
     * **fused** — produced by the chunked reduction engine
       (:mod:`repro.engine.reduction`): only the row argmin outputs
       (``labels``, ``min_d``) plus an exact on-demand entry evaluator
@@ -122,24 +130,20 @@ class DistanceStep:
 
     :meth:`assigned` serves both: the per-row distance to an arbitrary
     assignment, which is all the fit loop (objective, reseed policy)
-    ever needs.  ``free()`` releases every buffer the step allocated.
+    ever needs.
     """
 
-    __slots__ = ("_d", "d_buf", "_frees", "labels", "min_d", "_at")
+    __slots__ = ("_d", "labels", "min_d", "_at")
 
     def __init__(
         self,
         d: Optional[np.ndarray] = None,
         *,
-        d_buf=None,
-        frees: Tuple = (),
         labels: Optional[np.ndarray] = None,
         min_d: Optional[np.ndarray] = None,
         at=None,
     ) -> None:
         self._d = d
-        self.d_buf = d_buf
-        self._frees = tuple(frees)
         self.labels = labels
         self.min_d = min_d
         self._at = at
@@ -148,8 +152,6 @@ class DistanceStep:
     def d(self) -> np.ndarray:
         if self._d is not None:
             return self._d
-        if self.d_buf is not None:
-            return self.d_buf.a
         raise ConfigError(
             "this distance step is fused: the full distance block was never "
             "materialised; use argmin_labels()/assigned() instead"
@@ -177,10 +179,6 @@ class DistanceStep:
         d = self.d
         return d[np.arange(d.shape[0]), lab]  # fancy indexing: already fresh
 
-    def free(self) -> None:
-        for buf in self._frees:
-            buf.free()
-
 
 class Backend(ABC):
     """Execution substrate for the kernel-k-means fit scaffolding.
@@ -205,7 +203,6 @@ class Backend(ABC):
         *,
         n_clusters: int,
         dtype,
-        tile_rows: Optional[int] = None,
         chunk_rows: Optional[int] = None,
         chunk_cols: Optional[int] = None,
         n_threads: Optional[int] = None,
@@ -277,7 +274,7 @@ class Backend(ABC):
     def popcorn_step(
         self, state: EngineState, labels: np.ndarray, weights: Optional[np.ndarray] = None
     ) -> DistanceStep:
-        """Popcorn's pipeline: SpMM, z-gather, SpMV, fused add (tiled-aware)."""
+        """Popcorn's pipeline: SpMM, z-gather, SpMV, fused add, fused argmin."""
 
     @abstractmethod
     def baseline_step(self, state: EngineState, labels: np.ndarray) -> DistanceStep:
@@ -355,8 +352,10 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
+
+
 # ----------------------------------------------------------------------
-# host backend
+# the shared numerics (every backend executes these)
 # ----------------------------------------------------------------------
 
 def _check_gram_expressible(kernel: Kernel) -> None:
@@ -370,7 +369,7 @@ def _check_gram_expressible(kernel: Kernel) -> None:
 def _resolve_gram_method(
     method: str, threshold: Optional[float], n: int, d: int, tiled: bool
 ) -> str:
-    """The tiled-mode gram policy, shared by both backends.
+    """The gram policy, shared by every backend.
 
     Streaming builds K in rectangular row panels, so SYRK's
     triangular trick does not apply: tiled runs force GEMM and reject an
@@ -389,16 +388,27 @@ def _resolve_gram_method(
     return used
 
 
-def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
-    """Host-side Gram + kernel + diagonal, bitwise equal to the device path.
+def syrk_mirror(full: np.ndarray) -> np.ndarray:
+    """The SYRK + triangular-mirror numerics on a full Gram matrix.
 
-    The GEMM is the same ``x @ x.T`` the device shim performs; ``"syrk"``
-    replicates the SYRK + triangular-mirror numerics.  Returns
-    ``(K, diag(K))`` as contiguous arrays.
+    SYRK writes only the lower triangle; the hand-written mirror kernel
+    (Sec. 4.2) reflects the strictly-lower part above the diagonal.
+    """
+    lower = np.tril(full)  # what the SYRK writes
+    return lower + np.tril(full, -1).T
+
+
+def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
+    """Gram + kernel + diagonal: the one kernel-matrix stage.
+
+    The GEMM is ``x @ x.T``; ``"syrk"`` applies the SYRK +
+    triangular-mirror numerics.  A kernel that needs ``diag(B)`` (the
+    Gaussian) gets a snapshot taken before the elementwise transform.
+    Returns ``(K, diag(K))`` as contiguous arrays.
     """
     b = x @ x.T
     if used == "syrk":
-        b = blas.syrk_mirror(b)
+        b = syrk_mirror(b)
     if kernel.needs_diag():
         gram_diag = np.ascontiguousarray(np.diagonal(b)).copy()
         km = kernel.from_gram(b, gram_diag)
@@ -408,11 +418,81 @@ def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
     return km, np.ascontiguousarray(np.diagonal(km))
 
 
-class HostBackend(Backend):
-    """NumPy/CSR execution: the sparse pipeline with no device bookkeeping.
+def _adopt_kernel_matrix(state: EngineState, km: np.ndarray) -> None:
+    """Take a precomputed kernel matrix and its diagonal ``P~`` into ``state``."""
+    state.k_host = km
+    state.p_norms_host = np.ascontiguousarray(np.diagonal(km))
+    state.n = km.shape[0]
 
-    Numerics are identical to the device backend (shared CSR kernels);
-    recorded launches carry measured wall-clock seconds under ``host.*``
+
+def _kernel_stage(state: EngineState, x: np.ndarray, kernel: Kernel, method, threshold) -> None:
+    """Build K and ``P~`` from points into ``state``; records the Gram method used."""
+    _check_gram_expressible(kernel)
+    n, d = x.shape
+    used = _resolve_gram_method(method, threshold, n, d, state.chunk_rows is not None)
+    state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, used)
+    state.n = n
+    state.gram_method = used
+
+
+def _fused_step(state: EngineState, labels, weights=None) -> DistanceStep:
+    """One Popcorn distance step through the chunked fused reduction."""
+    fused = fused_popcorn_argmin(
+        state.k_host,
+        labels,
+        state.n_clusters,
+        chunk_rows=state.chunk_rows,
+        chunk_cols=state.chunk_cols,
+        n_threads=state.n_threads,
+        weights=weights,
+        dtype=state.dtype,
+    )
+    return DistanceStep(labels=fused.labels, min_d=fused.min_d, at=fused.at)
+
+
+def baseline_distances(
+    k_mat: np.ndarray, k_diag: np.ndarray, labels: np.ndarray, k: int
+) -> np.ndarray:
+    """The baseline CUDA implementation's three kernels (Sec. 5.3).
+
+    1. ``R[i, j] = sum_{l in L_j} K[i, l]`` as a dense one-hot matmul;
+    2. ``||c_j||^2 = (1 / |L_j|^2) * sum_{i in L_j} R[i, j]`` (float64
+       accumulation);
+    3. ``D[i, j] = K[i, i] - 2 R[i, j] / |L_j| + ||c_j||^2``.
+
+    Returns the full ``n x k`` distance block: the baseline materialises
+    it by design, which is the contrast the paper measures.
+    """
+    n = k_mat.shape[0]
+    lab = np.asarray(labels)
+    counts = np.bincount(lab, minlength=k).astype(np.int64)
+    onehot = np.zeros((n, k), dtype=k_mat.dtype)  # repro-lint: disable=RPR101 -- baseline buffer
+    onehot[np.arange(n), lab] = 1
+    r = k_mat @ onehot
+    own = r[np.arange(n), lab].astype(np.float64)
+    sums = np.bincount(lab, weights=own, minlength=k)
+    c_norms = (sums / np.maximum(counts.astype(np.float64), 1) ** 2).astype(r.dtype)
+    inv = (1.0 / np.maximum(counts, 1)).astype(r.dtype)
+    return k_diag[:, None] - 2.0 * r * inv[None, :] + c_norms[None, :]
+
+
+def _row_argmin(step: DistanceStep) -> np.ndarray:
+    """The step's fused labels, or the row argmin of a materialised block
+    (ties break toward the lowest cluster index)."""
+    labels = step.argmin_labels()
+    if labels is None:
+        labels = np.argmin(step.d, axis=1).astype(np.int32)
+    return labels
+
+
+# ----------------------------------------------------------------------
+# host backend
+# ----------------------------------------------------------------------
+
+class HostBackend(Backend):
+    """NumPy/CSR execution: the shared numerics with no device bookkeeping.
+
+    Recorded launches carry measured wall-clock seconds under ``host.*``
     names so ``timings_`` and ``profiler_`` stay meaningful.
     """
 
@@ -423,7 +503,6 @@ class HostBackend(Backend):
         *,
         n_clusters,
         dtype,
-        tile_rows=None,
         chunk_rows=None,
         chunk_cols=None,
         n_threads=None,
@@ -435,7 +514,6 @@ class HostBackend(Backend):
             backend=self,
             n_clusters=int(n_clusters),
             dtype=np.dtype(dtype),
-            tile_rows=validate_tile_rows(tile_rows),
             chunk_rows=validate_chunk_size(chunk_rows, "chunk_rows"),
             chunk_cols=validate_chunk_size(chunk_cols, "chunk_cols"),
             n_threads=validate_n_threads(n_threads),
@@ -452,59 +530,29 @@ class HostBackend(Backend):
 
     def load_kernel_matrix(self, state: EngineState, km: np.ndarray) -> None:
         t0 = time.perf_counter()
-        state.k_host = km
-        state.p_norms_host = np.ascontiguousarray(np.diagonal(km))
-        state.n = km.shape[0]
+        _adopt_kernel_matrix(state, km)
         self._record(state, "kernel_matrix", "diag_extract", t0)
 
     def compute_kernel_matrix(self, state, x, kernel, *, method="auto", threshold=None) -> None:
-        _check_gram_expressible(kernel)
         t0 = time.perf_counter()
-        n, d = x.shape
-        tiled = state.chunk_rows is not None or state.tile_rows is not None
-        used = _resolve_gram_method(method, threshold, n, d, tiled)
-        state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, used)
-        state.n = n
-        state.gram_method = used
+        _kernel_stage(state, x, kernel, method, threshold)
         self._record(state, "kernel_matrix", "kernel_matrix", t0)
 
     def popcorn_step(self, state, labels, weights=None) -> DistanceStep:
-        # the chunked fused reduction is the one distance path;
-        # ``tile_rows`` is honoured as a ``chunk_rows`` compatibility
-        # alias when no explicit chunk size is given
         t0 = time.perf_counter()
-        rows = state.chunk_rows if state.chunk_rows is not None else state.tile_rows
-        fused = fused_popcorn_argmin(
-            state.k_host,
-            labels,
-            state.n_clusters,
-            chunk_rows=rows,
-            chunk_cols=state.chunk_cols,
-            n_threads=state.n_threads,
-            weights=weights,
-            dtype=state.dtype,
-        )
+        step = _fused_step(state, labels, weights)
         self._record(state, "distances", "popcorn_distances", t0)
-        return DistanceStep(labels=fused.labels, min_d=fused.min_d, at=fused.at)
+        return step
 
     def baseline_step(self, state, labels) -> DistanceStep:
-        # the three Sec. 5.3 kernels — same *_numerics helpers the device
-        # shims in repro.gpu.custom execute, so the backends cannot drift
         t0 = time.perf_counter()
-        k = state.n_clusters
-        lab = np.asarray(labels)
-        counts = np.bincount(lab, minlength=k).astype(np.int64)
-        r = custom.baseline_reduce_numerics(state.k_host, lab, k)
-        c_norms = custom.baseline_norms_numerics(r, lab, counts)
-        d = custom.baseline_assemble_numerics(r, state.p_norms_host, c_norms, counts)
+        d = baseline_distances(state.k_host, state.p_norms_host, labels, state.n_clusters)
         self._record(state, "distances", "baseline_distances", t0)
         return DistanceStep(d)
 
     def argmin(self, state, step) -> np.ndarray:
         t0 = time.perf_counter()
-        labels = step.argmin_labels()
-        if labels is None:
-            labels = np.argmin(step.d, axis=1).astype(np.int32)
+        labels = _row_argmin(step)
         self._record(state, "argmin_update", "argmin", t0)
         return labels
 
@@ -514,14 +562,17 @@ class HostBackend(Backend):
 # ----------------------------------------------------------------------
 
 class DeviceBackend(Backend):
-    """The simulated-GPU launch path (Popcorn's execution model).
+    """The simulated-GPU execution model: host numerics, modeled launches.
 
-    Monolithic mode keeps K resident and reproduces the pre-engine launch
-    sequence exactly.  With ``tile_rows``, K lives in host memory and the
-    per-iteration SpMM streams one ``n x tile_rows`` panel at a time over
-    PCIe — peak device memory drops from O(n^2) to O(tile_rows * n), so
-    kernel matrices beyond capacity fit (the cost model charges the
-    transfers, turning the memory wall into a bandwidth price).
+    Every stage executes exactly what :class:`HostBackend` executes and
+    charges the device profiler the launches of the matching
+    :mod:`repro.modeling` generator.  The allocator holds K and ``P~``
+    for the whole fit (so capacity limits and out-of-memory failures
+    behave as on a real device).  With ``chunk_rows``, K is never
+    resident: it stays in host memory and every iteration streams it
+    over PCIe in ``chunk_rows x n`` panels — peak device memory drops
+    from O(n^2) to O(chunk_rows * n), and the cost model charges the
+    transfers, turning the memory wall into a bandwidth price.
     """
 
     name = "device"
@@ -532,7 +583,6 @@ class DeviceBackend(Backend):
         *,
         n_clusters,
         dtype,
-        tile_rows=None,
         chunk_rows=None,
         chunk_cols=None,
         n_threads=None,
@@ -544,20 +594,14 @@ class DeviceBackend(Backend):
             raise ConfigError(
                 "chunk_cols/n_threads configure the host-side chunked "
                 "reduction engine; the device backend only streams row panels "
-                "(chunk_rows=/tile_rows=) — use backend='host' (or "
-                "'sharded:<g>') for chunked execution"
+                "(chunk_rows=) — use backend='host' (or 'sharded:<g>') for "
+                "chunked execution"
             )
-        # ``chunk_rows`` is the canonical row-granularity knob; on the
-        # device backend it sets the streamed panel height (what
-        # ``tile_rows`` configured before the rename)
-        rows = validate_chunk_size(chunk_rows, "chunk_rows")
-        if rows is None:
-            rows = validate_tile_rows(tile_rows)
         return EngineState(
             backend=self,
             n_clusters=int(n_clusters),
             dtype=np.dtype(dtype),
-            tile_rows=rows,
+            chunk_rows=validate_chunk_size(chunk_rows, "chunk_rows"),
             profiler=device.profiler,
             device=device,
             spec=device.spec,
@@ -565,11 +609,9 @@ class DeviceBackend(Backend):
         )
 
     def finish(self, state: EngineState) -> None:
-        for buf in (state.k_op, state.p_norms):
-            if buf is not None and buf.alive:
-                buf.free()
-        state.k_op = None
-        state.p_norms = None
+        for buf in state.resident:
+            buf.free()
+        state.resident = []
         state.k_host = None
         state.p_norms_host = None
 
@@ -577,149 +619,102 @@ class DeviceBackend(Backend):
         """Fail fast when the run cannot fit in device memory.
 
         Monolithic mode is dominated by the dense ``n x n`` kernel matrix
-        plus the ``n x k`` distance buffer; tiled mode replaces the n^2
-        term with one streamed ``tile_rows x n`` panel.
+        plus the ``n x k`` distance buffer; streaming mode replaces the
+        n^2 term with one ``chunk_rows x n`` panel.
         """
         device = state.device
         itemsize = state.dtype.itemsize
         k = state.n_clusters
-        if state.tile_rows is None:
+        if state.chunk_rows is None:
             required = itemsize * (n * n + 2.0 * n * k + 4.0 * n)
             if required > device.capacity_bytes:
                 raise AllocationError(
                     f"kernel k-means on n={n} points needs ~{required / 1e9:.1f} GB "
                     f"but {device.spec.name} has {device.spec.mem_capacity_gb:g} GB; "
-                    "stream the kernel matrix with tile_rows=, partition it with "
+                    "stream the kernel matrix with chunk_rows=, partition it with "
                     "repro.distributed.DistributedPopcornKernelKMeans or reduce n "
                     "(e.g. repro.approx.NystromKernelKMeans)"
                 )
         else:
-            tile = min(state.tile_rows, n)
-            required = itemsize * (tile * n + 2.0 * n * k + 6.0 * n)
+            rows = min(state.chunk_rows, n)
+            required = itemsize * (rows * n + 2.0 * n * k + 6.0 * n)
             if required > device.capacity_bytes:
                 raise AllocationError(
-                    f"tiled kernel k-means on n={n} points still needs "
-                    f"~{required / 1e9:.1f} GB for one tile_rows={tile} panel plus the "
+                    f"streamed kernel k-means on n={n} points still needs "
+                    f"~{required / 1e9:.1f} GB for one chunk_rows={rows} panel plus the "
                     f"n x k distance buffer, but {device.spec.name} has "
-                    f"{device.spec.mem_capacity_gb:g} GB; reduce tile_rows (or use "
+                    f"{device.spec.mem_capacity_gb:g} GB; reduce chunk_rows (or use "
                     "repro.distributed.DistributedPopcornKernelKMeans)"
                 )
+
+    def _hold(self, state: EngineState) -> None:
+        """Reserve the fit's device memory: K (resident mode) and ``P~``."""
+        held = [state.p_norms_host]
+        if state.chunk_rows is None:
+            held.insert(0, state.k_host)
+        state.resident = [state.device.wrap(a) for a in held]
 
     # ------------------------------------------------------------------
     # kernel-matrix stage
     # ------------------------------------------------------------------
     def load_kernel_matrix(self, state: EngineState, km: np.ndarray) -> None:
-        device = state.device
-        state.n = km.shape[0]
-        if state.tile_rows is None:
-            state.k_op = device.h2d(km)
-            with state.profiler.phase("kernel_matrix"):
-                state.p_norms = custom.diag_extract(device, state.k_op)
-        else:
-            # streaming mode: K stays in host memory; only P~ is resident
-            state.k_host = km
-            state.p_norms_host = np.ascontiguousarray(np.diagonal(km))
-            with state.profiler.phase("kernel_matrix"):
-                device.record(cost.diag_extract_cost(device.spec, state.n))
-            state.p_norms = device.h2d(state.p_norms_host)
+        _adopt_kernel_matrix(state, km)
+        self._hold(state)
+        record_launches(
+            state.profiler,
+            load_stage_launches(
+                state.spec, state.n, chunk_rows=state.chunk_rows, itemsize=km.itemsize
+            ),
+        )
 
     def compute_kernel_matrix(self, state, x, kernel, *, method="auto", threshold=None) -> None:
-        _check_gram_expressible(kernel)
-        device = state.device
-        n, d = x.shape
-        state.n = n
-        if state.tile_rows is None:
-            p_buf = device.h2d(x)
-            with state.profiler.phase("kernel_matrix"):
-                state.k_op, state.p_norms, used = device_kernel_matrix(
-                    device, p_buf, kernel, method=method, threshold=threshold
-                )
-            state.gram_method = used
-            p_buf.free()
-            return
-        used = _resolve_gram_method(method, threshold, n, d, tiled=True)
-        # Streaming mode: K is built in row panels on the device and written
-        # back to host memory (it never fits resident).  The numerics use one
-        # host GEMM + transform — bitwise identical to the monolithic device
-        # path — while the cost model charges the panel pipeline: per tile a
-        # rectangular GEMM, the elementwise kernel, and the D2H writeback.
-        p_buf = device.h2d(x)
-        state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, used)
-        itemsize = state.dtype.itemsize
-        with state.profiler.phase("kernel_matrix"):
-            for lo, hi in row_tiles(n, state.tile_rows):
-                device.record(cost.gemm_tile_cost(device.spec, hi - lo, n, d))
-                device.record(
-                    cost.transform_tile_cost(device.spec, hi - lo, n, kernel.flops_per_entry)
-                )
-            device.record(cost.diag_extract_cost(device.spec, n))
-        with state.profiler.phase("transfer"):
-            for lo, hi in row_tiles(n, state.tile_rows):
-                device.record(cost.d2h_cost(device.spec, itemsize * (hi - lo) * n))
-        p_buf.free()
-        state.p_norms = device.h2d(state.p_norms_host)
-        state.gram_method = used
+        _kernel_stage(state, x, kernel, method, threshold)
+        self._hold(state)
+        record_launches(
+            state.profiler,
+            kernel_stage_launches(
+                state.spec,
+                *x.shape,
+                method=state.gram_method,
+                kernel_flops_per_entry=kernel.flops_per_entry,
+                chunk_rows=state.chunk_rows,
+                itemsize=x.itemsize,
+                diag_snapshot=kernel.needs_diag(),
+            ),
+        )
 
     # ------------------------------------------------------------------
     # distance steps
     # ------------------------------------------------------------------
     def popcorn_step(self, state, labels, weights=None) -> DistanceStep:
-        from ..core.distances import popcorn_distance_step
-
-        device = state.device
-        if state.tile_rows is None:
-            d, v = popcorn_distance_step(
-                device, state.k_op, state.p_norms, labels, state.n_clusters, weights=weights
-            )
-            return DistanceStep(d_buf=d, frees=(d, v))
-
-        # streamed pipeline: one panel of K resident at a time
-        n = state.n
-        k = state.n_clusters
-        lab = np.asarray(labels)
-        prof = state.profiler
-        with prof.phase("argmin_update"):
-            v = custom.v_build(device, lab, k, dtype=state.dtype, weights=weights)
-        e = device.empty((n, k), dtype=state.dtype)
-        z = device.empty((n,), dtype=state.dtype)
-        for lo, hi in row_tiles(n, state.tile_rows):
-            panel = np.ascontiguousarray(state.k_host[:, lo:hi])
-            t_buf = device.h2d(panel)
-            with prof.phase("distances"):
-                e_tile = cusparse.spmm_kvt_tile(device, t_buf, v, alpha=-2.0)
-                e.a[lo:hi] = e_tile.a
-                z_tile = custom.z_gather(device, e_tile, lab[lo:hi])
-                z.a[lo:hi] = z_tile.a
-                z_tile.free()
-                e_tile.free()
-            t_buf.free()
-        with prof.phase("distances"):
-            c_norms = cusparse.spmv(device, v, z, alpha=-0.5)
-            z.free()
-            d = custom.d_add(device, e, state.p_norms, c_norms)
-            c_norms.free()
-        return DistanceStep(d_buf=d, frees=(d, v))
+        step = _fused_step(state, labels, weights)
+        record_launches(
+            state.profiler,
+            popcorn_step_launches(
+                state.spec,
+                state.n,
+                state.n_clusters,
+                chunk_rows=state.chunk_rows,
+                itemsize=state.k_host.itemsize,
+            ),
+        )
+        return step
 
     def baseline_step(self, state, labels) -> DistanceStep:
-        if state.tile_rows is not None:
-            raise ConfigError("the baseline distance step does not support tile_rows")
-        device = state.device
-        k = state.n_clusters
-        lab = np.asarray(labels)
-        prof = state.profiler
-        with prof.phase("argmin_update"):
-            counts = thrust.bincount(device, lab, k)
-        with prof.phase("distances"):
-            r = custom.baseline_cluster_reduce(device, state.k_op, lab, k)
-            c_norms = custom.baseline_centroid_norms(device, r, lab, counts)
-            d = custom.baseline_distance_assemble(device, r, state.p_norms, c_norms, counts)
-            r.free()
-            c_norms.free()
-        return DistanceStep(d_buf=d, frees=(d,))
+        if state.chunk_rows is not None:
+            raise ConfigError(
+                "the baseline distance step reads a resident kernel matrix; "
+                "it does not stream chunk_rows"
+            )
+        n, k = state.n, state.n_clusters
+        d = baseline_distances(state.k_host, state.p_norms_host, labels, k)
+        record_launches(state.profiler, baseline_step_launches(state.spec, n, k))
+        return DistanceStep(d)
 
     def argmin(self, state, step) -> np.ndarray:
-        with state.profiler.phase("argmin_update"):
-            return raft.coalesced_reduction_argmin(state.device, step.d_buf)
+        labels = _row_argmin(step)
+        record_launches(state.profiler, argmin_launches(state.spec, state.n, state.n_clusters))
+        return labels
 
 
 register_backend(HostBackend())

@@ -16,9 +16,8 @@ the kernel matrix (:func:`repro.distributed.partition.row_blocks`):
 
 **Numerics are the host backend's, bit for bit.**  The CSR SpMM computes
 every output row independently, so the row-sharded product is identical
-to the monolithic one (the same property the row-tiled pipeline of
-:mod:`repro.engine.tiling` rests on); the backend therefore executes the
-exact host pipeline once while the *cost model* charges per-device
+to the monolithic one; the backend therefore executes the exact host
+pipeline once while the *cost model* charges per-device
 rectangular panels (:mod:`repro.distributed.costs`) and ring collectives
 (:mod:`repro.distributed.comm`).  ``backend="sharded:<g>"`` and
 ``backend="host"`` produce identical labels from identical seeds for
@@ -43,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import AllocationError, ConfigError
-from ..gpu import cost, custom
+from ..gpu import cost
 from ..obs import metrics, trace
 from ..gpu.launch import Launch
 from ..gpu.profiler import Profiler
@@ -52,12 +51,15 @@ from .backends import (
     Backend,
     DistanceStep,
     EngineState,
+    _adopt_kernel_matrix,
     _check_gram_expressible,
+    _fused_step,
     _host_kernel_matrix,
+    _row_argmin,
+    baseline_distances,
     register_backend,
 )
-from .reduction import fused_popcorn_argmin, validate_chunk_size, validate_n_threads
-from .tiling import validate_tile_rows
+from .reduction import validate_chunk_size, validate_n_threads
 
 __all__ = ["ShardedBackend", "DEFAULT_SHARD_DEVICES", "modeled_predict_batch_s"]
 
@@ -171,7 +173,6 @@ class ShardedBackend(Backend):
         *,
         n_clusters,
         dtype,
-        tile_rows=None,
         chunk_rows=None,
         chunk_cols=None,
         n_threads=None,
@@ -186,7 +187,6 @@ class ShardedBackend(Backend):
             backend=self,
             n_clusters=int(n_clusters),
             dtype=np.dtype(dtype),
-            tile_rows=validate_tile_rows(tile_rows),
             chunk_rows=validate_chunk_size(chunk_rows, "chunk_rows"),
             chunk_cols=validate_chunk_size(chunk_cols, "chunk_cols"),
             n_threads=validate_n_threads(n_threads),
@@ -262,9 +262,7 @@ class ShardedBackend(Backend):
     # kernel-matrix stage
     # ------------------------------------------------------------------
     def load_kernel_matrix(self, state: EngineState, km: np.ndarray) -> None:
-        state.k_host = km
-        state.p_norms_host = np.ascontiguousarray(np.diagonal(km))
-        state.n = km.shape[0]
+        _adopt_kernel_matrix(state, km)
         itemsize = state.dtype.itemsize
         for p, (lo, hi) in enumerate(self._blocks(state)):
             rows = hi - lo
@@ -309,21 +307,10 @@ class ShardedBackend(Backend):
         n, k = state.n, state.n_clusters
         # per-shard compute executes through the chunked fused reduction
         # (host-exact labels for every chunk/thread setting); the cost
-        # model below is unchanged — it charges the same per-device
-        # rectangular panels and collectives as before, so modeled
-        # strong-scaling metrics stay comparable across code versions
-        rows_chunk = state.chunk_rows if state.chunk_rows is not None else state.tile_rows
+        # model below charges the per-device rectangular panels and
+        # collectives
         with trace.span("sharded.step", devices=state.n_devices, n=n, k=k):
-            fused = fused_popcorn_argmin(
-                state.k_host,
-                labels,
-                k,
-                chunk_rows=rows_chunk,
-                chunk_cols=state.chunk_cols,
-                n_threads=state.n_threads,
-                weights=weights,
-                dtype=state.dtype,
-            )
+            step = _fused_step(state, labels, weights)
         for p, (lo, hi) in enumerate(self._blocks(state)):
             rows = hi - lo
             self._dev(state, p, "argmin_update", cost.vbuild_cost(self.spec, n, k))
@@ -333,7 +320,7 @@ class ShardedBackend(Backend):
             self._dev(state, p, "distances", cost.dadd_cost(self.spec, rows, k))
         # one ring allreduce of k floats completes the centroid norms
         self._allreduce(state, 4.0 * k)
-        return DistanceStep(labels=fused.labels, min_d=fused.min_d, at=fused.at)
+        return step
 
     def baseline_step(self, state, labels) -> DistanceStep:
         from ..distributed.costs import (
@@ -342,14 +329,8 @@ class ShardedBackend(Backend):
             rect_baseline_reduce_cost,
         )
 
-        if state.tile_rows is not None:
-            raise ConfigError("the baseline distance step does not support tile_rows")
         n, k = state.n, state.n_clusters
-        lab = np.asarray(labels)
-        counts = np.bincount(lab, minlength=k).astype(np.int64)
-        r = custom.baseline_reduce_numerics(state.k_host, lab, k)
-        c_norms = custom.baseline_norms_numerics(r, lab, counts)
-        d = custom.baseline_assemble_numerics(r, state.p_norms_host, c_norms, counts)
+        d = baseline_distances(state.k_host, state.p_norms_host, labels, k)
         for p, (lo, hi) in enumerate(self._blocks(state)):
             rows = hi - lo
             self._dev(state, p, "distances", rect_baseline_reduce_cost(self.spec, rows, n, k))
@@ -359,9 +340,7 @@ class ShardedBackend(Backend):
         return DistanceStep(d)
 
     def argmin(self, state, step) -> np.ndarray:
-        labels = step.argmin_labels()
-        if labels is None:
-            labels = np.argmin(step.d, axis=1).astype(np.int32)
+        labels = _row_argmin(step)
         k = state.n_clusters
         for p, (lo, hi) in enumerate(self._blocks(state)):
             self._dev(state, p, "argmin_update", cost.argmin_cost(self.spec, hi - lo, k))

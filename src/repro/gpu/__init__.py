@@ -1,8 +1,12 @@
-"""Simulated GPU substrate.
+"""Simulated GPU substrate: the cost model, the allocator and the profiler.
 
-Executes every operation numerically on the host while charging modeled
-execution time from an analytical, A100-calibrated roofline cost model —
-the substitution (documented in DESIGN.md) for the paper's CUDA testbed.
+The paper's CUDA testbed is replaced by an analytical, A100-calibrated
+roofline cost model (:mod:`repro.gpu.cost`, calibration notes in
+:mod:`repro.gpu.calibration`), a :class:`Device` whose allocator tracks
+live bytes against capacity, and an Nsight-like :class:`Profiler`.  The
+numerics never run here: the device backend
+(:class:`repro.engine.DeviceBackend`) executes the host numerics and
+charges the launches of :mod:`repro.modeling`'s per-stage generators.
 """
 
 from .device import Device
@@ -20,7 +24,6 @@ from .spec import (
     V100_32GB,
     named_device,
 )
-from .cusparse import DeviceCSR
 from .trace import to_chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -28,7 +31,6 @@ __all__ = [
     "write_chrome_trace",
     "Device",
     "DeviceArray",
-    "DeviceCSR",
     "Launch",
     "Profiler",
     "DeviceSpec",

@@ -2,14 +2,15 @@
 
 Each function is **pure**: it maps operation shapes and a device spec to a
 :class:`~repro.gpu.launch.Launch` record with FLOPs, bytes and modeled
-time.  Both execution paths share these functions —
+time.  Both execution paths share these functions through the per-stage
+launch generators of :mod:`repro.modeling` —
 
-* the executing :class:`~repro.gpu.device.Device` performs the real
-  arithmetic *and* charges the modeled time, and
-* the paper-scale analytical model (:mod:`repro.modeling`) sums the same
-  costs without touching data —
+* the device backend runs the host numerics and charges each stage's
+  launches to its :class:`~repro.gpu.device.Device` profiler, and
+* the paper-scale analytical models sum the same stages without touching
+  data —
 
-so integration tests can assert the two agree to the launch.
+so the two agree to the launch by construction.
 
 Timing law (roofline with overheads)::
 
@@ -48,6 +49,7 @@ __all__ = [
     "vbuild_cost",
     "h2d_cost",
     "d2h_cost",
+    "reduce_counts_cost",
     "baseline_k1_cost",
     "baseline_k2_cost",
     "baseline_k3_cost",
@@ -242,7 +244,7 @@ def vbuild_cost(spec: DeviceSpec, n: int, k: int) -> Launch:
 
 
 # ----------------------------------------------------------------------
-# row-tiled (out-of-core) pipeline — repro.engine streaming mode
+# streamed (out-of-core) mode — the device backend with chunk_rows
 # ----------------------------------------------------------------------
 
 def gemm_tile_cost(spec: DeviceSpec, rows: int, n: int, d: int) -> Launch:
@@ -308,6 +310,13 @@ def d2h_cost(spec: DeviceSpec, nbytes: float) -> Launch:
 # ----------------------------------------------------------------------
 # baseline CUDA implementation (Sec. 5.3)
 # ----------------------------------------------------------------------
+
+def reduce_counts_cost(spec: DeviceSpec, n: int, k: int) -> Launch:
+    """Cluster cardinalities via a thrust reduction (the baseline, Sec. 4.1)."""
+    bytes_ = 4.0 * (n + k)
+    t = roofline_time(spec, float(n), bytes_, eff_memory=0.4)
+    return Launch("thrust.reduce_counts", float(n), bytes_, t, meta={"n": n, "k": k})
+
 
 def baseline_k1_cost(spec: DeviceSpec, n: int, k: int) -> Launch:
     """Baseline kernel 1: per-row shared-memory reduction of K by cluster.

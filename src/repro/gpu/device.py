@@ -6,10 +6,9 @@ A :class:`Device` couples three things:
 2. a :class:`~repro.gpu.profiler.Profiler` (the launch log / clock), and
 3. an allocator tracking live device memory against capacity.
 
-Library shims (:mod:`repro.gpu.blas`, :mod:`repro.gpu.cusparse`,
-:mod:`repro.gpu.thrust`, :mod:`repro.gpu.raft`, :mod:`repro.gpu.custom`)
-perform the real arithmetic on the buffers' host payloads and charge the
-modeled time through :meth:`Device.record`.
+The device backend (:class:`repro.engine.DeviceBackend`) holds the fit's
+buffers against the allocator and charges each stage's modeled launches
+through :meth:`Device.record`; the arithmetic itself runs on the host.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from .base import Kernel
 from .dispatch import choose_gram_method, model_gram_times, tune_threshold
 from .extra import CosineKernel, RationalQuadraticKernel
 from .gaussian import GaussianKernel
-from .gram import device_kernel_matrix, gram_matrix, kernel_matrix
+from .gram import gram_matrix, kernel_matrix
 from .laplacian import LaplacianKernel
 from .linear import LinearKernel
 from .polynomial import PolynomialKernel
@@ -31,7 +31,6 @@ __all__ = [
     "tune_threshold",
     "gram_matrix",
     "kernel_matrix",
-    "device_kernel_matrix",
 ]
 
 _BY_NAME = {

@@ -1,30 +1,22 @@
 """Kernel-matrix computation (paper Sec. 3.2 / 4.2, Alg. 2 lines 1-2).
 
-Two entry points:
+* :func:`gram_matrix` / :func:`kernel_matrix` — the host/NumPy reference
+  path used by the CPU comparator and the tests.
 
-* :func:`kernel_matrix` — host/NumPy reference path used by the CPU
-  comparator and the tests;
-* :func:`device_kernel_matrix` — the Popcorn path: Gram matrix via
-  GEMM or SYRK on the simulated device, elementwise kernel application
-  via the thrust shim, and diagonal extraction for ``P~``.
+The estimators' kernel stage (GEMM or SYRK dispatch, elementwise kernel,
+``P~`` extraction) is :func:`repro.engine.backends._host_kernel_matrix`,
+which every backend executes; the device backend charges its launches
+from :func:`repro.modeling.kernel_stage_launches`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .._typing import as_matrix
-from ..errors import ShapeError
-from ..gpu import custom, thrust
-from ..gpu.blas import gram
-from ..gpu.device import Device
-from ..gpu.memory import DeviceArray
 from .base import Kernel
-from .dispatch import choose_gram_method
 
-__all__ = ["gram_matrix", "kernel_matrix", "device_kernel_matrix"]
+__all__ = ["gram_matrix", "kernel_matrix"]
 
 
 def gram_matrix(x: np.ndarray) -> np.ndarray:
@@ -36,68 +28,3 @@ def gram_matrix(x: np.ndarray) -> np.ndarray:
 def kernel_matrix(x: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Host-side kernel matrix ``K[i, j] = kappa(x_i, x_j)``."""
     return kernel.pairwise(x)
-
-
-def device_kernel_matrix(
-    device: Device,
-    points: DeviceArray,
-    kernel: Kernel,
-    *,
-    method: str = "auto",
-    threshold: float | None = None,
-) -> Tuple[DeviceArray, DeviceArray, str]:
-    """Compute ``K`` and ``diag(K)`` on the simulated device.
-
-    Parameters
-    ----------
-    device:
-        The simulated GPU.
-    points:
-        ``n x d`` device buffer holding ``P_hat`` (points in input space).
-    kernel:
-        A Gram-expressible kernel (raises otherwise — use a precomputed
-        kernel matrix for e.g. the Laplacian kernel).
-    method:
-        ``"gemm"``, ``"syrk"``, or ``"auto"`` for the paper's n/d-ratio
-        dispatch (Sec. 4.2).
-    threshold:
-        Ratio threshold ``t`` for ``"auto"``; default from config (100).
-
-    Returns
-    -------
-    (K, diag, method):
-        The ``n x n`` kernel-matrix buffer, the length-``n`` diagonal
-        buffer (the implicit ``P~``), and the Gram method actually used.
-    """
-    device.check_resident(points)
-    if points.a.ndim != 2:
-        raise ShapeError("points buffer must be 2-D")
-    if not kernel.gram_expressible:
-        raise ShapeError(
-            f"{type(kernel).__name__} is not Gram-expressible; "
-            "pass a precomputed kernel matrix instead"
-        )
-    n, d = points.shape
-    used = choose_gram_method(n, d, threshold) if method == "auto" else method
-
-    b = gram(device, points, used)
-
-    if kernel.needs_diag():
-        # the Gaussian path must snapshot diag(B) before the in-place
-        # transform destroys it
-        gdiag = custom.diag_extract(device, b)
-        gram_diag = gdiag.a.copy()
-        gdiag.free()
-        k_mat = thrust.transform(
-            device,
-            b,
-            lambda arr: kernel.from_gram(arr, gram_diag),
-            flops_per_entry=kernel.flops_per_entry,
-        )
-    else:
-        k_mat = thrust.transform(
-            device, b, kernel.from_gram, flops_per_entry=kernel.flops_per_entry
-        )
-
-    k_diag = custom.diag_extract(device, k_mat)
-    return k_mat, k_diag, used

@@ -1,4 +1,4 @@
-"""Analytical runtime models at paper scale.
+"""Analytical runtime models at paper scale, and the device launch log.
 
 The executing device cannot materialise a 50000 x 50000 kernel matrix in
 this environment, but every figure in the paper's evaluation is a function
@@ -7,18 +7,27 @@ sequences of Popcorn, the baseline CUDA implementation, and the CPU PRMLT
 implementation *analytically* — same cost functions, same order, no
 numerics — and returns a populated :class:`~repro.gpu.Profiler`.
 
-An integration test pins the contract: for sizes small enough to execute,
-the analytical model and the executing estimator produce identical launch
-logs (name, flops, bytes, time), launch for launch.
+The launch sequence of each pipeline stage is written once, as a
+generator of ``(phase, launch)`` pairs: the kernel-matrix stage
+(:func:`kernel_stage_launches`, :func:`load_stage_launches`), one
+Popcorn distance step (:func:`popcorn_step_launches`), the row argmin
+(:func:`argmin_launches`) and one baseline distance step
+(:func:`baseline_step_launches`).  The device backend
+(:class:`repro.engine.DeviceBackend`) executes the host numerics and
+charges these same generators to its device, and the ``model_*``
+functions below loop over them — so the executed and the modeled launch
+logs agree launch for launch by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import partial
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .errors import ConfigError
 from .gpu import cost
+from .gpu.launch import Launch
 from .gpu.profiler import Profiler
 from .gpu.spec import A100_80GB, CPUSpec, DeviceSpec, EPYC_7763
 from .kernels.dispatch import choose_gram_method
@@ -32,9 +41,18 @@ __all__ = [
     "model_baseline",
     "model_cpu",
     "model_gram",
+    "record_launches",
+    "kernel_stage_launches",
+    "load_stage_launches",
+    "popcorn_step_launches",
+    "argmin_launches",
+    "baseline_step_launches",
 ]
 
 FP32 = cost.FP32
+
+#: one stage's launches, each with the Fig. 8 phase it is charged to
+Staged = Iterator[Tuple[str, Launch]]
 
 
 @dataclass(frozen=True)
@@ -75,18 +93,148 @@ def _check(n: int, d: int, k: int, iters: int) -> None:
         raise ConfigError(f"k={k} exceeds n={n}")
 
 
+# ----------------------------------------------------------------------
+# per-stage launch generators (shared with the device backend)
+# ----------------------------------------------------------------------
+
+def record_launches(prof: Profiler, staged: Iterable[Tuple[str, Launch]]) -> None:
+    """Charge a stage's launches to ``prof``, each tagged with its phase."""
+    for phase, launch in staged:
+        prof.record(launch.with_phase(phase))
+
+
+def _gram_launches(spec: DeviceSpec, n: int, d: int, method: str):
+    """The Gram product ``B = P P^T``: one GEMM, or SYRK + triangular mirror."""
+    if method == "gemm":
+        return [cost.gemm_cost(spec, n, d)]
+    if method == "syrk":
+        return [cost.syrk_cost(spec, n, d), cost.triangular_copy_cost(spec, n)]
+    raise ConfigError(f"method must be 'gemm' or 'syrk', got {method!r}")
+
+
+def _row_chunks(n: int, chunk_rows: int):
+    # imported at call time: repro.engine.backends imports this module
+    from .engine.reduction import chunk_ranges
+
+    return chunk_ranges(n, chunk_rows)
+
+
+def kernel_stage_launches(
+    spec: DeviceSpec,
+    n: int,
+    d: int,
+    *,
+    method: str,
+    kernel_flops_per_entry: float = 4.0,
+    chunk_rows: Optional[int] = None,
+    itemsize: int = FP32,
+    diag_snapshot: bool = False,
+    include_transfer: bool = True,
+) -> Staged:
+    """Launches of the kernel-matrix stage from points (Alg. 2 lines 1-2).
+
+    Resident mode (``chunk_rows=None``): the H2D of the points, GEMM or
+    SYRK + triangular mirror, the ``diag(B)`` snapshot a Gaussian kernel
+    takes before the in-place transform (``diag_snapshot``), the
+    elementwise transform and the ``P~`` extraction.  Streamed mode:
+    per ``chunk_rows x n`` panel a rectangular GEMM + transform, the
+    ``P~`` extraction, the D2H writeback of every panel and the ``P~``
+    upload — K is never resident.  ``itemsize`` sizes the transfers.
+    """
+    if include_transfer:
+        yield "transfer", cost.h2d_cost(spec, itemsize * n * d)
+    if chunk_rows is None:
+        for launch in _gram_launches(spec, n, d, method):
+            yield "kernel_matrix", launch
+        if diag_snapshot:
+            yield "kernel_matrix", cost.diag_extract_cost(spec, n)
+        yield "kernel_matrix", cost.kernel_transform_cost(spec, n, kernel_flops_per_entry)
+        yield "kernel_matrix", cost.diag_extract_cost(spec, n)
+        return
+    chunks = _row_chunks(n, chunk_rows)
+    for lo, hi in chunks:
+        yield "kernel_matrix", cost.gemm_tile_cost(spec, hi - lo, n, d)
+        yield "kernel_matrix", cost.transform_tile_cost(
+            spec, hi - lo, n, kernel_flops_per_entry
+        )
+    yield "kernel_matrix", cost.diag_extract_cost(spec, n)
+    for lo, hi in chunks:
+        yield "transfer", cost.d2h_cost(spec, itemsize * (hi - lo) * n)
+    yield "transfer", cost.h2d_cost(spec, itemsize * n)  # P~ upload
+
+
+def load_stage_launches(
+    spec: DeviceSpec, n: int, *, chunk_rows: Optional[int] = None, itemsize: int = FP32
+) -> Staged:
+    """Launches of adopting a precomputed kernel matrix.
+
+    Resident mode uploads K and extracts ``P~`` on the device; streamed
+    mode keeps K in host memory and uploads only ``P~``.
+    """
+    if chunk_rows is None:
+        yield "transfer", cost.h2d_cost(spec, itemsize * n * n)
+        yield "kernel_matrix", cost.diag_extract_cost(spec, n)
+    else:
+        yield "kernel_matrix", cost.diag_extract_cost(spec, n)
+        yield "transfer", cost.h2d_cost(spec, itemsize * n)
+
+
+def popcorn_step_launches(
+    spec: DeviceSpec, n: int, k: int, *, chunk_rows: Optional[int] = None, itemsize: int = FP32
+) -> Staged:
+    """Launches of one Popcorn distance step (Alg. 2 lines 7-10).
+
+    V build, then the SpMM ``E = -2 K V^T``, the z-gather, the
+    centroid-norm SpMV and the fused ``D = E + P~ + C~`` add.  Streamed
+    mode re-uploads K one ``chunk_rows x n`` panel at a time and runs
+    the SpMM and z-gather per panel.
+    """
+    yield "argmin_update", cost.vbuild_cost(spec, n, k)
+    if chunk_rows is None:
+        yield "distances", cost.spmm_cost(spec, n, k)
+        yield "distances", cost.zgather_cost(spec, n, k)
+    else:
+        for lo, hi in _row_chunks(n, chunk_rows):
+            yield "transfer", cost.h2d_cost(spec, itemsize * (hi - lo) * n)
+            yield "distances", cost.spmm_tile_cost(spec, hi - lo, n, k)
+            yield "distances", cost.zgather_cost(spec, hi - lo, k)
+    yield "distances", cost.spmv_cost(spec, n, k)
+    yield "distances", cost.dadd_cost(spec, n, k)
+
+
+def argmin_launches(spec: DeviceSpec, n: int, k: int) -> Staged:
+    """The row argmin over the ``n x k`` distances (RAFT, Sec. 4.3)."""
+    yield "argmin_update", cost.argmin_cost(spec, n, k)
+
+
+def baseline_step_launches(spec: DeviceSpec, n: int, k: int) -> Staged:
+    """One baseline distance step (Sec. 5.3): the cardinality reduction
+    plus the three hand-written kernels."""
+    yield "argmin_update", cost.reduce_counts_cost(spec, n, k)
+    yield "distances", cost.baseline_k1_cost(spec, n, k)
+    yield "distances", cost.baseline_k2_cost(spec, n, k)
+    yield "distances", cost.baseline_k3_cost(spec, n, k)
+
+
+# ----------------------------------------------------------------------
+# whole-run models
+# ----------------------------------------------------------------------
+
 def model_gram(spec: DeviceSpec, n: int, d: int, method: str) -> Profiler:
     """Launches of the Gram stage only (Fig. 2 workload)."""
     prof = Profiler()
-    with prof.phase("kernel_matrix"):
-        if method == "gemm":
-            prof.record(cost.gemm_cost(spec, n, d))
-        elif method == "syrk":
-            prof.record(cost.syrk_cost(spec, n, d))
-            prof.record(cost.triangular_copy_cost(spec, n))
-        else:
-            raise ConfigError(f"method must be 'gemm' or 'syrk', got {method!r}")
+    record_launches(prof, (("kernel_matrix", ln) for ln in _gram_launches(spec, n, d, method)))
     return prof
+
+
+def _model_run(n: int, d: int, k: int, iters: int, kernel_stage: Staged, *per_iter) -> RunModel:
+    """Record the kernel stage, then each per-iteration stage ``iters`` times."""
+    prof = Profiler()
+    record_launches(prof, kernel_stage)
+    for _ in range(iters):
+        for stage in per_iter:
+            record_launches(prof, stage())
+    return RunModel(prof, n, d, k, iters)
 
 
 def model_popcorn(
@@ -108,30 +256,24 @@ def model_popcorn(
     iteration V build, SpMM, z-gather, SpMV, D-add, argmin.
     """
     _check(n, d, k, iters)
-    prof = Profiler()
-    if include_transfer:
-        with prof.phase("transfer"):
-            prof.record(cost.h2d_cost(spec, FP32 * n * d))
     used = choose_gram_method(n, d, gram_threshold) if gram_method == "auto" else gram_method
-    with prof.phase("kernel_matrix"):
-        if used == "gemm":
-            prof.record(cost.gemm_cost(spec, n, d))
-        else:
-            prof.record(cost.syrk_cost(spec, n, d))
-            prof.record(cost.triangular_copy_cost(spec, n))
-        prof.record(cost.kernel_transform_cost(spec, n, kernel_flops_per_entry))
-        prof.record(cost.diag_extract_cost(spec, n))
-    for _ in range(iters):
-        with prof.phase("argmin_update"):
-            prof.record(cost.vbuild_cost(spec, n, k))
-        with prof.phase("distances"):
-            prof.record(cost.spmm_cost(spec, n, k))
-            prof.record(cost.zgather_cost(spec, n, k))
-            prof.record(cost.spmv_cost(spec, n, k))
-            prof.record(cost.dadd_cost(spec, n, k))
-        with prof.phase("argmin_update"):
-            prof.record(cost.argmin_cost(spec, n, k))
-    return RunModel(prof, n, d, k, iters)
+    stage = kernel_stage_launches(
+        spec,
+        n,
+        d,
+        method=used,
+        kernel_flops_per_entry=kernel_flops_per_entry,
+        include_transfer=include_transfer,
+    )
+    return _model_run(
+        n,
+        d,
+        k,
+        iters,
+        stage,
+        partial(popcorn_step_launches, spec, n, k),
+        partial(argmin_launches, spec, n, k),
+    )
 
 
 def model_popcorn_tiled(
@@ -147,45 +289,36 @@ def model_popcorn_tiled(
 ) -> RunModel:
     """Analytical launch log of a row-tiled (out-of-core) Popcorn run.
 
-    Mirrors the engine's streaming mode launch for launch: the kernel
-    matrix is built in ``tile_rows x n`` GEMM panels and written back to
-    host memory, then every iteration re-streams the panels over PCIe for
-    the tiled SpMM.  K is never resident, so the device footprint is
-    O(tile_rows * n) — the run is feasible at any ``n`` — and the price is
-    the per-iteration H2D traffic this model charges.
+    Mirrors the device backend's streaming mode (``chunk_rows=tile_rows``)
+    launch for launch: the kernel matrix is built in ``tile_rows x n``
+    GEMM panels and written back to host memory, then every iteration
+    re-streams the panels over PCIe for the tiled SpMM.  K is never
+    resident, so the device footprint is O(tile_rows * n) — the run is
+    feasible at any ``n`` — and the price is the per-iteration H2D
+    traffic this model charges.
     """
     _check(n, d, k, iters)
-    from .engine.tiling import row_tiles
+    from .engine.reduction import validate_chunk_size
 
-    tiles = row_tiles(n, tile_rows)
-    prof = Profiler()
-    if include_transfer:
-        with prof.phase("transfer"):
-            prof.record(cost.h2d_cost(spec, FP32 * n * d))
-    with prof.phase("kernel_matrix"):
-        for lo, hi in tiles:
-            prof.record(cost.gemm_tile_cost(spec, hi - lo, n, d))
-            prof.record(cost.transform_tile_cost(spec, hi - lo, n, kernel_flops_per_entry))
-        prof.record(cost.diag_extract_cost(spec, n))
-    with prof.phase("transfer"):
-        for lo, hi in tiles:
-            prof.record(cost.d2h_cost(spec, FP32 * (hi - lo) * n))
-        prof.record(cost.h2d_cost(spec, FP32 * n))  # P~ upload
-    for _ in range(iters):
-        with prof.phase("argmin_update"):
-            prof.record(cost.vbuild_cost(spec, n, k))
-        for lo, hi in tiles:
-            with prof.phase("transfer"):
-                prof.record(cost.h2d_cost(spec, FP32 * (hi - lo) * n))
-            with prof.phase("distances"):
-                prof.record(cost.spmm_tile_cost(spec, hi - lo, n, k))
-                prof.record(cost.zgather_cost(spec, hi - lo, k))
-        with prof.phase("distances"):
-            prof.record(cost.spmv_cost(spec, n, k))
-            prof.record(cost.dadd_cost(spec, n, k))
-        with prof.phase("argmin_update"):
-            prof.record(cost.argmin_cost(spec, n, k))
-    return RunModel(prof, n, d, k, iters)
+    rows = validate_chunk_size(tile_rows, "tile_rows") or n
+    stage = kernel_stage_launches(
+        spec,
+        n,
+        d,
+        method="gemm",
+        kernel_flops_per_entry=kernel_flops_per_entry,
+        chunk_rows=rows,
+        include_transfer=include_transfer,
+    )
+    return _model_run(
+        n,
+        d,
+        k,
+        iters,
+        stage,
+        partial(popcorn_step_launches, spec, n, k, chunk_rows=rows),
+        partial(argmin_launches, spec, n, k),
+    )
 
 
 @dataclass(frozen=True)
@@ -262,18 +395,16 @@ def model_popcorn_chunked(
                 prof.record(launch)
                 makespan += launch.time_s
 
-    if include_transfer:
-        serial("transfer", cost.h2d_cost(spec, FP32 * n * d))
-    for lo, hi in row_chunks:
-        serial(
-            "kernel_matrix",
-            cost.gemm_tile_cost(spec, hi - lo, n, d),
-            cost.transform_tile_cost(spec, hi - lo, n, kernel_flops_per_entry),
-        )
-    serial("kernel_matrix", cost.diag_extract_cost(spec, n))
-    for lo, hi in row_chunks:
-        serial("transfer", cost.d2h_cost(spec, FP32 * (hi - lo) * n))
-    serial("transfer", cost.h2d_cost(spec, FP32 * n))  # P~ upload
+    for phase, launch in kernel_stage_launches(
+        spec,
+        n,
+        d,
+        method="gemm",
+        kernel_flops_per_entry=kernel_flops_per_entry,
+        chunk_rows=chunk_rows or n,
+        include_transfer=include_transfer,
+    ):
+        serial(phase, launch)
 
     for _ in range(iters):
         serial("argmin_update", cost.vbuild_cost(spec, n, k))
@@ -326,29 +457,23 @@ def model_baseline(
     plus the three hand-written kernels and the argmin.
     """
     _check(n, d, k, iters)
-    prof = Profiler()
-    if include_transfer:
-        with prof.phase("transfer"):
-            prof.record(cost.h2d_cost(spec, FP32 * n * d))
-    with prof.phase("kernel_matrix"):
-        prof.record(cost.gemm_cost(spec, n, d))
-        prof.record(cost.kernel_transform_cost(spec, n, kernel_flops_per_entry))
-        prof.record(cost.diag_extract_cost(spec, n))
-    for _ in range(iters):
-        with prof.phase("argmin_update"):
-            # thrust cardinality reduction (matches BaselineCUDAKernelKMeans)
-            bytes_ = 4.0 * (n + k)
-            t = cost.roofline_time(spec, float(n), bytes_, eff_memory=0.4)
-            prof.record(
-                cost.Launch("thrust.reduce_counts", float(n), bytes_, t, meta={"n": n, "k": k})
-            )
-        with prof.phase("distances"):
-            prof.record(cost.baseline_k1_cost(spec, n, k))
-            prof.record(cost.baseline_k2_cost(spec, n, k))
-            prof.record(cost.baseline_k3_cost(spec, n, k))
-        with prof.phase("argmin_update"):
-            prof.record(cost.argmin_cost(spec, n, k))
-    return RunModel(prof, n, d, k, iters)
+    stage = kernel_stage_launches(
+        spec,
+        n,
+        d,
+        method="gemm",
+        kernel_flops_per_entry=kernel_flops_per_entry,
+        include_transfer=include_transfer,
+    )
+    return _model_run(
+        n,
+        d,
+        k,
+        iters,
+        stage,
+        partial(baseline_step_launches, spec, n, k),
+        partial(argmin_launches, spec, n, k),
+    )
 
 
 def model_cpu(

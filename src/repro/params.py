@@ -28,7 +28,6 @@ registry (:mod:`repro.estimators`) and the model-selection layer
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -73,13 +72,6 @@ class ParamSpec:
         Inclusive numeric lower bound on the converted value.
     required:
         True for parameters with no meaningful default (``n_clusters``).
-    aliases:
-        Deprecated spellings still accepted for this parameter.  An
-        alias key passed to ``__init__``/``set_params`` is remapped to
-        the canonical name with a :class:`DeprecationWarning` (silently
-        when the value is the default — constructors forward their full
-        keyword surface); passing both spellings with different values
-        is a :class:`~repro.errors.ConfigError`.
     """
 
     name: str
@@ -88,7 +80,6 @@ class ParamSpec:
     choices: Tuple[object, ...] = ()
     low: Optional[float] = None
     required: bool = field(default=False)
-    aliases: Tuple[str, ...] = ()
 
     def validate(self, value, owner: str) -> object:
         """Convert + validate one value; raises ConfigError with context."""
@@ -155,54 +146,6 @@ class ParamsProtocol:
         """The declared parameter names, in declaration order."""
         return tuple(spec.name for spec in cls._params)
 
-    @classmethod
-    def param_aliases(cls) -> Dict[str, str]:
-        """Deprecated alias -> canonical parameter name."""
-        return {
-            alias: spec.name for spec in cls._params for alias in spec.aliases
-        }
-
-    @classmethod
-    def _resolve_aliases(cls, values: Dict[str, object]) -> Dict[str, object]:
-        """Remap deprecated alias keys to their canonical names.
-
-        The single place alias handling lives: an alias carrying its
-        spec's default is dropped silently (constructors always forward
-        their full keyword surface), a non-default alias value warns and
-        remaps, and an alias conflicting with an explicit canonical
-        value is a :class:`~repro.errors.ConfigError`.
-        """
-        aliases = cls.param_aliases()
-        if not aliases or not aliases.keys() & values.keys():
-            return values
-        specs = cls.param_specs()
-        owner = cls.__name__
-        out = {k: v for k, v in values.items() if k not in aliases}
-        for alias, value in values.items():
-            canonical = aliases.get(alias)
-            if canonical is None:
-                continue
-            if _seems_default(value, specs[canonical].default):
-                continue
-            existing = out.get(canonical)
-            if (
-                canonical in out
-                and not _seems_default(existing, specs[canonical].default)
-                and not _seems_default(value, existing)
-            ):
-                raise ConfigError(
-                    f"{owner} got both {canonical}={existing!r} and its "
-                    f"deprecated alias {alias}={value!r}; pass only "
-                    f"{canonical}="
-                )
-            warnings.warn(
-                f"{alias}= is deprecated for {owner}; use {canonical}=",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            out[canonical] = value
-        return out
-
     def _init_params(self, **values) -> None:
         """Validate and assign every constructor parameter in one place.
 
@@ -211,7 +154,6 @@ class ParamsProtocol:
         parameter name, and :meth:`_validate_params` then checks
         cross-parameter constraints (e.g. backend support).
         """
-        values = self._resolve_aliases(values)
         specs = self.param_specs()
         owner = type(self).__name__
         unknown = set(values) - set(specs)
@@ -256,7 +198,6 @@ class ParamsProtocol:
         """
         if not params:
             return self
-        params = self._resolve_aliases(params)
         specs = self.param_specs()
         owner = type(self).__name__
         nested: Dict[str, Dict[str, object]] = {}

@@ -4,10 +4,9 @@ Before this module, :class:`~repro.serve.service.PredictionService` hand
 rolled a nine-keyword constructor with an ``if``-chain validator, and the
 async front door would have needed a second copy.  :class:`ServeConfig`
 gives the serving tier the estimator treatment instead: every knob is a
-declarative :class:`~repro.params.ParamSpec` (bounds, conversion, the
-``tile_rows`` -> ``chunk_rows`` deprecation alias), and the whole
-``get_params`` / ``set_params`` / ``clone`` / non-default-``repr``
-surface comes from :class:`~repro.params.ParamsProtocol` — so a serving
+declarative :class:`~repro.params.ParamSpec` (bounds, conversion), and
+the whole ``get_params`` / ``set_params`` / ``clone`` /
+non-default-``repr`` surface comes from :class:`~repro.params.ParamsProtocol` — so a serving
 deployment is introspected, copied, and logged exactly like an estimator.
 
 :class:`ServeResult` is the matching response type: the label plus its
@@ -69,9 +68,7 @@ class ServeConfig(ParamsProtocol):
         the batch-size distribution.
     chunk_rows, chunk_cols, n_threads:
         Chunk schedule and thread count of the fused cross-kernel
-        reduction, forwarded to ``predict`` / ``predict_batch``
-        (``tile_rows=`` is accepted as a deprecated alias of
-        ``chunk_rows=``).
+        reduction, forwarded to ``predict`` / ``predict_batch``.
     devices:
         Shard every served batch's rows across this many simulated
         devices; ``None`` serves unsharded.
@@ -84,13 +81,7 @@ class ServeConfig(ParamsProtocol):
         ParamSpec("queue_bound", default=None, convert=optional(_int_knob), low=1),
         ParamSpec("cache_size", default=1024, convert=_int_knob, low=0),
         ParamSpec("latency_window", default=4096, convert=_int_knob, low=1),
-        ParamSpec(
-            "chunk_rows",
-            default=None,
-            convert=optional(_int_knob),
-            low=1,
-            aliases=("tile_rows",),
-        ),
+        ParamSpec("chunk_rows", default=None, convert=optional(_int_knob), low=1),
         ParamSpec("chunk_cols", default=None, convert=optional(_int_knob), low=1),
         ParamSpec("n_threads", default=None, convert=optional(_int_knob), low=1),
         ParamSpec("devices", default=None, convert=optional(_int_knob), low=1),

@@ -12,13 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import random_labels
-from repro.core import (
-    distance_matrix_reference,
-    popcorn_distance_step,
-    popcorn_distances_host,
-)
+from repro.core import distance_matrix_reference, popcorn_distances_host
+from repro.engine import get_backend
 from repro.errors import ShapeError
-from repro.gpu import Device, A100_80GB, custom
+from repro.gpu import Device, A100_80GB
 from repro.kernels import GaussianKernel, LinearKernel, PolynomialKernel, kernel_matrix
 
 
@@ -90,6 +87,16 @@ class TestHostPipeline:
 
 
 class TestDeviceStep:
+    """The device backend's Popcorn step: the fused host numerics plus
+    the Alg. 2 lines 7-10 launches, with no per-step device allocation."""
+
+    @staticmethod
+    def _device(k_mat, k):
+        backend = get_backend("device")
+        state = backend.begin(n_clusters=k, dtype=k_mat.dtype, device=Device(A100_80GB))
+        backend.load_kernel_matrix(state, k_mat)
+        return backend, state
+
     def test_matches_host_pipeline(self, rng):
         n, k = 24, 4
         x = rng.standard_normal((n, 3))
@@ -97,23 +104,22 @@ class TestDeviceStep:
         k_mat = kernel_matrix(x.astype(np.float64), kern)
         labels = random_labels(n, k, rng)
 
-        dev = Device(A100_80GB)
-        k_buf = dev.h2d(k_mat)
-        p_norms = custom.diag_extract(dev, k_buf)
-        d_buf, v = popcorn_distance_step(dev, k_buf, p_norms, labels, k)
+        backend, state = self._device(k_mat, k)
+        step = backend.popcorn_step(state, labels)
         host_d, _ = popcorn_distances_host(k_mat, labels, k)
-        assert np.allclose(d_buf.a, host_d, atol=1e-8)
+        want = np.argmin(host_d, axis=1)
+        assert np.array_equal(backend.argmin(state, step), want)
+        assert np.array_equal(step.assigned(want), host_d[np.arange(n), want])
+        assert np.allclose(step.assigned(labels), host_d[np.arange(n), labels], atol=1e-8)
 
     def test_launch_sequence(self, rng):
         """The step issues exactly the Alg. 2 lines 7-10 launches."""
         n, k = 16, 2
         x = rng.standard_normal((n, 2))
-        dev = Device(A100_80GB)
-        k_buf = dev.h2d((x @ x.T).astype(np.float64))
-        p_norms = custom.diag_extract(dev, k_buf)
-        dev.profiler.reset()
-        popcorn_distance_step(dev, k_buf, p_norms, random_labels(n, k, rng), k)
-        names = [l.name for l in dev.profiler.launches]
+        backend, state = self._device((x @ x.T).astype(np.float64), k)
+        state.device.profiler.reset()
+        backend.popcorn_step(state, random_labels(n, k, rng))
+        names = [l.name for l in state.device.profiler.launches]
         assert names == [
             "custom.v_build",
             "cusparse.spmm",
@@ -124,15 +130,16 @@ class TestDeviceStep:
 
     def test_buffers_freed_cleanly(self, rng):
         n, k = 12, 3
-        dev = Device(A100_80GB)
         x = rng.standard_normal((n, 2))
-        k_buf = dev.h2d((x @ x.T).astype(np.float64))
-        p_norms = custom.diag_extract(dev, k_buf)
+        backend, state = self._device((x @ x.T).astype(np.float64), k)
+        dev = state.device
         before = dev.allocated_bytes
-        d_buf, v = popcorn_distance_step(dev, k_buf, p_norms, random_labels(n, k, rng), k)
-        d_buf.free()
-        v.free()
+        # K and P~ stay held for the fit; a step allocates nothing more
+        assert before == (n * n + n) * 8
+        backend.popcorn_step(state, random_labels(n, k, rng))
         assert dev.allocated_bytes == before
+        backend.finish(state)
+        assert dev.allocated_bytes == 0
 
 
 class TestDistanceProperties:

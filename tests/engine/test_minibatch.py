@@ -1,6 +1,6 @@
 """Online mini-batch ``partial_fit``: cold-start bit-exactness, streaming
-updates, early stop, warm starts, the two input modes, and the
-``tile_rows`` -> ``chunk_rows`` alias migration."""
+updates, early stop, warm starts, the two input modes, and the retired
+``tile_rows`` alias."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro import (
 )
 from repro.data import make_blobs
 from repro.engine import EWA_ALPHA, OnlineState, partial_fit_step
-from repro.engine.reduction import resolve_rows_alias
 from repro.errors import ConfigError, ShapeError
 from repro.estimators import estimator_capabilities, estimator_config
 from repro.kernels import kernel_matrix
@@ -399,53 +398,27 @@ class TestCapabilities:
 
 
 # ----------------------------------------------------------------------
-# the tile_rows -> chunk_rows migration
+# the retired tile_rows alias
 # ----------------------------------------------------------------------
 
 
-class TestTileRowsAlias:
-    def test_ctor_alias_warns_and_remaps(self):
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            est = PopcornKernelKMeans(2, tile_rows=16)
-        assert est.chunk_rows == 16
-        assert est.get_params()["chunk_rows"] == 16
-        assert "tile_rows" not in est.get_params()
+class TestTileRowsRetired:
+    """``tile_rows`` was a deprecated alias of ``chunk_rows``; it is gone."""
 
-    def test_alias_at_default_is_silent(self):
-        import warnings
+    def test_constructor_rejects_it(self):
+        with pytest.raises(TypeError, match="tile_rows"):
+            PopcornKernelKMeans(2, tile_rows=16)
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            make_estimator("popcorn", n_clusters=2, tile_rows=16)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = PopcornKernelKMeans(2, tile_rows=None)
-        assert est.chunk_rows is None
+    def test_set_params_rejects_it(self):
+        with pytest.raises(ConfigError, match="tile_rows"):
+            PopcornKernelKMeans(2).set_params(tile_rows=12)
 
-    def test_conflicting_spellings_rejected(self):
-        with pytest.raises(ConfigError, match="deprecated alias"):
-            PopcornKernelKMeans(2, chunk_rows=8, tile_rows=16)
-
-    def test_matching_spellings_tolerated(self):
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            est = PopcornKernelKMeans(2, chunk_rows=8, tile_rows=8)
-        assert est.chunk_rows == 8
-
-    def test_set_params_alias(self):
-        est = PopcornKernelKMeans(2)
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            est.set_params(tile_rows=12)
-        assert est.chunk_rows == 12
-
-    def test_predict_kwarg_alias(self):
-        x = _data(n=30)
+    def test_predict_rejects_it(self):
         est = PopcornKernelKMeans(3, backend="host", dtype=np.float64, seed=0)
-        est.partial_fit(x)
-        want = est.predict(x)
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            got = est.predict(x, tile_rows=7)
-        assert np.array_equal(got, want)
-
-    def test_resolve_rows_alias_conflict(self):
-        with pytest.raises(ConfigError, match="chunk_rows"):
-            resolve_rows_alias(8, 16, owner="test")
-        assert resolve_rows_alias(8, None, owner="test") == 8
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            assert resolve_rows_alias(None, 16, owner="test") == 16
+        est.partial_fit(_data(n=30))
+        with pytest.raises(TypeError, match="tile_rows"):
+            est.predict(_data(n=5), tile_rows=7)
+        with pytest.raises(TypeError, match="tile_rows"):
+            est.predict_batch([_data(n=5)], tile_rows=7)

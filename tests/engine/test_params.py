@@ -162,13 +162,9 @@ class TestReprAndFittedGuards:
         assert repr(make_estimator("popcorn", n_clusters=3)) == (
             "PopcornKernelKMeans(n_clusters=3)"
         )
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            text = repr(
-                make_estimator("popcorn", n_clusters=3, backend="host", tile_rows=32)
-            )
-        # the deprecated alias resolves to the canonical knob
+        text = repr(make_estimator("popcorn", n_clusters=3, backend="host", chunk_rows=32))
         assert "backend='host'" in text and "chunk_rows=32" in text
-        assert "tile_rows" not in text and "max_iter" not in text
+        assert "max_iter" not in text
 
     def test_repr_round_trips_kernels(self):
         k = kernel_by_name("polynomial", degree=4)

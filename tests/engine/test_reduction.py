@@ -28,7 +28,9 @@ from repro.engine.reduction import (
     validate_chunk_size,
     validate_n_threads,
 )
-from repro.engine.tiling import tiled_popcorn_distances_host
+from repro.bench.experiments.reduction import (
+    _tiled_popcorn_distances_host as tiled_popcorn_distances_host,
+)
 from repro.errors import ConfigError, ShapeError
 from repro.estimators import available_estimators, filter_params, make_estimator
 from repro.obs import metrics, trace
@@ -453,7 +455,7 @@ CHUNK_KW = {"chunk_rows": 11, "chunk_cols": 2, "n_threads": 2}
 
 class TestEstimatorsBitIdentical:
     """All registered estimators keep bit-identical labels through the
-    fused reduction engine — host, tiled-alias, and sharded backends."""
+    fused reduction engine — host, row-chunked, and sharded backends."""
 
     @pytest.mark.parametrize("name", available_estimators())
     def test_host_chunked_and_tiled_alias(self, name):
@@ -461,11 +463,14 @@ class TestEstimatorsBitIdentical:
         base = make_estimator(name, n_clusters=2, seed=0).fit(x)
         for variant in (
             {"backend": "host", **CHUNK_KW},
-            {"backend": "host", "tile_rows": 13},  # the compatibility alias
+            # the row height the retired tile_rows alias used to set
+            {"backend": "host", "chunk_rows": 13},
         ):
             kw = filter_params(name, variant)
             est = make_estimator(name, n_clusters=2, seed=0, **kw).fit(x)
             np.testing.assert_array_equal(est.labels_, base.labels_, err_msg=name)
+        # the retired alias is declared by no estimator: filtered, never forwarded
+        assert filter_params(name, {"tile_rows": 13}) == {}
 
     @pytest.mark.parametrize("name", ["popcorn", "weighted"])
     def test_sharded_chunked(self, name):
@@ -495,7 +500,7 @@ class TestPredictChunked:
         for kw in (
             {"chunk_rows": 5, "chunk_cols": 2, "n_threads": 2},
             {"chunk_rows": 1, "chunk_cols": 1},
-            {"tile_rows": 6},
+            {"chunk_rows": 6},
         ):
             np.testing.assert_array_equal(est.predict(q, **kw), want)
 

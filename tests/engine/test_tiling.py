@@ -1,4 +1,9 @@
-"""Tests for the row-tiled distance pipeline (repro.engine.tiling)."""
+"""Tests for the row-streamed distance pipeline (``chunk_rows=``).
+
+The device backend streams K in ``chunk_rows x n`` panels laid out by
+:func:`repro.engine.reduction.chunk_ranges`; the legacy row-tiled SpMM
+pipeline survives as the ext_reduction_engine comparator.
+"""
 
 import numpy as np
 import pytest
@@ -9,45 +14,48 @@ from repro.baselines import random_labels
 from repro.core import PopcornKernelKMeans
 from repro.core.distances import popcorn_distances_host
 from repro.core.weighted import weighted_distances_host
-from repro.engine import row_tiles, tiled_popcorn_distances_host, validate_tile_rows
+from repro.bench.experiments.reduction import (
+    _tiled_popcorn_distances_host as tiled_popcorn_distances_host,
+)
+from repro.engine import chunk_ranges, validate_chunk_size
 from repro.errors import ConfigError, ShapeError
 from repro.kernels import PolynomialKernel, kernel_matrix
 
 
 class TestRowTiles:
     def test_none_is_monolithic(self):
-        assert row_tiles(17, None) == [(0, 17)]
+        assert chunk_ranges(17, None) == [(0, 17)]
 
     def test_tile_larger_than_n_is_monolithic(self):
-        assert row_tiles(10, 64) == [(0, 10)]
+        assert chunk_ranges(10, 64) == [(0, 10)]
 
     def test_exact_divisor(self):
-        assert row_tiles(12, 4) == [(0, 4), (4, 8), (8, 12)]
+        assert chunk_ranges(12, 4) == [(0, 4), (4, 8), (8, 12)]
 
     def test_non_divisor_short_last_tile(self):
-        assert row_tiles(10, 4) == [(0, 4), (4, 8), (8, 10)]
+        assert chunk_ranges(10, 4) == [(0, 4), (4, 8), (8, 10)]
 
     def test_tile_of_one(self):
-        tiles = row_tiles(5, 1)
+        tiles = chunk_ranges(5, 1)
         assert tiles == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
     def test_tiles_cover_range_exactly(self):
         for n in (1, 7, 31):
             for r in (1, 2, 5, 30, 31, 100):
-                tiles = row_tiles(n, r)
+                tiles = chunk_ranges(n, r)
                 assert tiles[0][0] == 0 and tiles[-1][1] == n
                 for (a, b), (c, _) in zip(tiles, tiles[1:]):
                     assert b == c
 
     def test_invalid_tile_rows(self):
         with pytest.raises(ConfigError):
-            validate_tile_rows(0)
+            validate_chunk_size(0, "chunk_rows")
         with pytest.raises(ConfigError):
-            row_tiles(10, -3)
+            chunk_ranges(10, -3)
 
     def test_invalid_n(self):
         with pytest.raises(ShapeError):
-            row_tiles(0, 4)
+            chunk_ranges(-1, 4)
 
 
 class TestTiledDistancesBitExact:
@@ -111,13 +119,14 @@ class TestTiledDistancesBitExact:
 
 
 class TestTiledEstimator:
-    """PopcornKernelKMeans(tile_rows=r) is label-identical to monolithic."""
+    """PopcornKernelKMeans(chunk_rows=r) on the device streams K and is
+    label-identical to monolithic."""
 
     @pytest.mark.parametrize("tile", [1, 7, 32, 90, 1000])
     def test_labels_identical_for_any_tile(self, blobs, tile):
         x, _, k = blobs  # n = 90; 7 and 1000 exercise non-divisor / oversize
         mono = PopcornKernelKMeans(k, seed=0, max_iter=8).fit(x)
-        tiled = PopcornKernelKMeans(k, seed=0, max_iter=8, tile_rows=tile).fit(x)
+        tiled = PopcornKernelKMeans(k, seed=0, max_iter=8, chunk_rows=tile).fit(x)
         assert np.array_equal(mono.labels_, tiled.labels_)
         assert tiled.objective_ == pytest.approx(mono.objective_)
 
@@ -129,7 +138,7 @@ class TestTiledEstimator:
         mono = PopcornKernelKMeans(k, dtype=np.float64).fit(
             kernel_matrix=km, init_labels=init
         )
-        tiled = PopcornKernelKMeans(k, dtype=np.float64, tile_rows=13).fit(
+        tiled = PopcornKernelKMeans(k, dtype=np.float64, chunk_rows=13).fit(
             kernel_matrix=km, init_labels=init
         )
         assert np.array_equal(mono.labels_, tiled.labels_)
@@ -138,7 +147,7 @@ class TestTiledEstimator:
         x, _, k = circles
         mono = PopcornKernelKMeans(k, kernel="gaussian", seed=1, max_iter=10).fit(x)
         tiled = PopcornKernelKMeans(
-            k, kernel="gaussian", seed=1, max_iter=10, tile_rows=50
+            k, kernel="gaussian", seed=1, max_iter=10, chunk_rows=50
         ).fit(x)
         assert np.array_equal(mono.labels_, tiled.labels_)
 
@@ -146,7 +155,7 @@ class TestTiledEstimator:
         x, _, k = blobs
         mono = PopcornKernelKMeans(k, seed=0, max_iter=4, check_convergence=False).fit(x)
         tiled = PopcornKernelKMeans(
-            k, seed=0, max_iter=4, check_convergence=False, tile_rows=30
+            k, seed=0, max_iter=4, check_convergence=False, chunk_rows=30
         ).fit(x)
         # per-iteration H2D re-streaming of K must show up in the model
         assert tiled.timings_["transfer"] > mono.timings_["transfer"]
@@ -154,21 +163,21 @@ class TestTiledEstimator:
 
     def test_tiled_never_allocates_k_on_device(self, blobs):
         x, _, k = blobs  # n=90, fp32: K would be 32.4 KB
-        tiled = PopcornKernelKMeans(k, seed=0, max_iter=3, tile_rows=10).fit(x)
+        tiled = PopcornKernelKMeans(k, seed=0, max_iter=3, chunk_rows=10).fit(x)
         peak = tiled.device_.peak_allocated_bytes
         assert peak < 4 * 90 * 90  # strictly below a resident K
 
     def test_syrk_with_tiling_rejected(self, blobs):
         x, _, k = blobs
         with pytest.raises(ConfigError, match="syrk"):
-            PopcornKernelKMeans(k, gram_method="syrk", tile_rows=16).fit(x)
+            PopcornKernelKMeans(k, gram_method="syrk", chunk_rows=16).fit(x)
 
     def test_bad_tile_rows_rejected(self):
-        # the deprecated alias remaps before validation, so the error
-        # names the canonical knob
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            with pytest.raises(ConfigError, match="chunk_rows"):
-                PopcornKernelKMeans(2, tile_rows=0)
+        with pytest.raises(ConfigError, match="chunk_rows"):
+            PopcornKernelKMeans(2, chunk_rows=0)
+        # the retired tile_rows alias is no parameter any more
+        with pytest.raises(TypeError, match="tile_rows"):
+            PopcornKernelKMeans(2, tile_rows=16)
 
     def test_model_matches_execution_launch_for_launch(self, rng):
         """The tiled analytical model mirrors the tiled engine exactly."""
@@ -178,7 +187,7 @@ class TestTiledEstimator:
         x = rng.standard_normal((n, d)).astype(np.float32)
         init = random_labels(n, k, rng)
         est = PopcornKernelKMeans(
-            k, max_iter=iters, check_convergence=False, tile_rows=tile
+            k, max_iter=iters, check_convergence=False, chunk_rows=tile
         ).fit(x, init_labels=init)
         modeled = model_popcorn_tiled(n, d, k, tile_rows=tile, iters=iters)
         skip = ("cuda.memcpy_h2d", "cuda.memcpy_d2h")

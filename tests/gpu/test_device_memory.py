@@ -5,8 +5,6 @@ import pytest
 
 from repro.errors import AllocationError, DeviceError
 from repro.gpu import A100_80GB, Device, DeviceSpec
-from repro.gpu.cusparse import DeviceCSR
-from repro.sparse import random_csr
 
 TINY = DeviceSpec("tiny", peak_fp32_gflops=1000, mem_bw_gbps=100, mem_capacity_gb=1e-6)
 
@@ -92,33 +90,6 @@ class TestTransfers:
     def test_transfer_phase_tag(self, device):
         device.h2d(np.ones(4, dtype=np.float32))
         assert device.profiler.phase_times().get("transfer", 0) > 0
-
-
-class TestDeviceCSR:
-    def test_footprint_tracked(self, device, rng):
-        m = random_csr(10, 10, 0.3, rng=rng)
-        dc = DeviceCSR(device, m)
-        assert device.allocated_bytes == dc.nbytes
-        dc.free()
-        assert device.allocated_bytes == 0
-
-    def test_use_after_free(self, device, rng):
-        dc = DeviceCSR(device, random_csr(5, 5, 0.5, rng=rng))
-        dc.free()
-        with pytest.raises(DeviceError, match="freed"):
-            _ = dc.m
-
-    def test_properties(self, device, rng):
-        m = random_csr(6, 8, 0.25, rng=rng)
-        dc = DeviceCSR(device, m)
-        assert dc.shape == (6, 8)
-        assert dc.nnz == m.nnz
-
-    def test_cross_device_check(self, rng):
-        d1, d2 = Device(A100_80GB), Device(A100_80GB)
-        dc = DeviceCSR(d1, random_csr(4, 4, 0.5, rng=rng))
-        with pytest.raises(DeviceError):
-            dc._check(d2)
 
 
 class TestClock:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import PopcornKernelKMeans
+from repro.engine import get_backend
 from repro.errors import ConfigError
 from repro.gpu import Device, A100_80GB
 from repro.kernels import (
     CosineKernel,
     GaussianKernel,
     RationalQuadraticKernel,
-    device_kernel_matrix,
     kernel_by_name,
 )
 
@@ -53,10 +53,12 @@ class TestCosine:
     def test_device_pipeline(self, rng):
         """Rides the same GEMM/SYRK + transform path unchanged."""
         x = rng.standard_normal((20, 4)).astype(np.float64)
-        dev = Device(A100_80GB)
-        k_buf, diag, _ = device_kernel_matrix(dev, dev.h2d(x), CosineKernel())
-        assert np.allclose(k_buf.a, CosineKernel().pairwise(x), atol=1e-8)
-        assert np.allclose(diag.a, 1.0, atol=1e-8)
+        backend = get_backend("device")
+        state = backend.begin(n_clusters=2, dtype=np.float64, device=Device(A100_80GB))
+        backend.compute_kernel_matrix(state, x, CosineKernel())
+        assert np.allclose(state.k_host, CosineKernel().pairwise(x), atol=1e-8)
+        assert np.allclose(state.p_norms_host, 1.0, atol=1e-8)
+        backend.finish(state)
 
 
 class TestRationalQuadratic:

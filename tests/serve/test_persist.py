@@ -144,7 +144,7 @@ class TestRoundTripBitExact:
         path = str(tmp_path_factory.mktemp("rt") / "m.npz")
         loaded = load_model(save_model(est, path))
         assert np.array_equal(
-            loaded.predict(q, tile_rows=tile), est.predict(q, tile_rows=tile)
+            loaded.predict(q, chunk_rows=tile), est.predict(q, chunk_rows=tile)
         )
 
 

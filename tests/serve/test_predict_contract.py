@@ -77,7 +77,7 @@ class TestUnifiedContract:
         assert np.all((0 <= labels) & (labels < k))
         # batching and query-tiling cannot change a single label
         assert np.array_equal(est.predict_batch([q[:7], q[7:]]), labels)
-        assert np.array_equal(est.predict(q, tile_rows=4), labels)
+        assert np.array_equal(est.predict(q, chunk_rows=4), labels)
 
     def test_unfitted_raises(self):
         with pytest.raises(ConfigError, match="not fitted"):
@@ -200,4 +200,4 @@ class TestTilingProperty:
         est = PopcornKernelKMeans(
             4, dtype=np.float64, backend="host", max_iter=4, seed=seed
         ).fit(x)
-        assert np.array_equal(est.predict(q, tile_rows=tile), est.predict(q))
+        assert np.array_equal(est.predict(q, chunk_rows=tile), est.predict(q))

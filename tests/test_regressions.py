@@ -121,12 +121,13 @@ class TestKernelMatrixSymmetryThroughPipeline:
     def test_device_kernel_matrix_is_symmetric_fp32(self, device, rng):
         """FP32 GEMM + in-place transform must keep K exactly symmetric
         (the SpMM-transpose trick relies on it)."""
-        from repro.kernels import device_kernel_matrix
+        from repro.engine import get_backend
 
         x = rng.standard_normal((40, 6)).astype(np.float32)
-        p = device.h2d(x)
-        k_buf, _, _ = device_kernel_matrix(device, p, PolynomialKernel())
-        assert np.array_equal(k_buf.a, k_buf.a.T)
+        backend = get_backend("device")
+        state = backend.begin(n_clusters=2, dtype=np.float32, device=device)
+        backend.compute_kernel_matrix(state, x, PolynomialKernel())
+        assert np.array_equal(state.k_host, state.k_host.T)
 
 
 class TestBlobsGroundTruthUsable:
