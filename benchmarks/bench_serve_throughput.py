@@ -8,7 +8,10 @@ what ``repro-bench compare`` gates prediction latency on.  The shim
 re-runs the full-mode sweep, then times one batched serving pass with
 pytest-benchmark and verifies the serving acceptance contract: served
 labels are bit-identical to the fitting estimator's in-memory
-``predict``.
+``predict`` and to an independent oracle, the exact SpMM distances
+``argmin(-2 spmm(V, Kc^T)^T + C~)`` built straight from
+:func:`repro.sparse.spmm` (``predict`` runs certified GEMM panels, so
+comparing it only with itself would not pin them).
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ import numpy as np
 from paperfig import run_registered
 from repro.core import PopcornKernelKMeans
 from repro.serve import PredictionService
+from repro.sparse import spmm
 
 
 def test_serve_throughput_sweep(benchmark):
@@ -29,6 +33,9 @@ def test_serve_throughput_sweep(benchmark):
     ).fit(x)
     queries = rng.standard_normal((128, 6))
     reference = model.predict(queries)
+    kc = model.kernel.pairwise(queries, x)
+    oracle = np.argmin(-2.0 * spmm(model._support_selection(), kc.T).T + model._c_norms, axis=1)
+    assert np.array_equal(reference, oracle)
 
     def run():
         with PredictionService(model, batch_size=32, max_delay_ms=1.0) as svc:
@@ -36,3 +43,4 @@ def test_serve_throughput_sweep(benchmark):
 
     served = benchmark(run)
     assert np.array_equal(served, reference)
+    assert np.array_equal(served, oracle)

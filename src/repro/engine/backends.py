@@ -51,7 +51,12 @@ from ..modeling import (
     popcorn_step_launches,
     record_launches,
 )
-from .reduction import fused_popcorn_argmin, validate_chunk_size, validate_n_threads
+from .reduction import (
+    KernelOperand,
+    fused_popcorn_argmin,
+    validate_chunk_size,
+    validate_n_threads,
+)
 
 __all__ = [
     "Backend",
@@ -74,7 +79,9 @@ class EngineState:
 
     The estimator treats this as an opaque handle.  Every backend keeps
     the kernel matrix and its diagonal in host memory (``k_host``,
-    ``p_norms_host``) and executes on them; the device backend also
+    ``p_norms_host``) and executes on them; ``kernel_operand`` is the
+    fused reduction's view of the same K (cast to ``dtype``, with its
+    column max-abs), built once per fit.  The device backend also
     lists the allocator reservations it holds for the fit
     (``resident``: K in resident mode, and ``P~``).
     """
@@ -97,6 +104,7 @@ class EngineState:
     trace_mark: int = 0
     k_host: Optional[np.ndarray] = None
     p_norms_host: Optional[np.ndarray] = None
+    kernel_operand: Optional[KernelOperand] = None
     resident: List[DeviceArray] = field(default_factory=list)
     gram_method: str = ""
     # multi-device execution (the sharded backend): one profiler per
@@ -418,11 +426,18 @@ def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
     return km, np.ascontiguousarray(np.diagonal(km))
 
 
-def _adopt_kernel_matrix(state: EngineState, km: np.ndarray) -> None:
-    """Take a precomputed kernel matrix and its diagonal ``P~`` into ``state``."""
+def _adopt_kernel_matrix(
+    state: EngineState, km: np.ndarray, p_norms: Optional[np.ndarray] = None
+) -> None:
+    """Take a kernel matrix and its diagonal ``P~`` into ``state``.
+
+    Also builds the fit's one :class:`KernelOperand`, so every fused
+    step reuses K's statistics instead of recomputing them.
+    """
     state.k_host = km
-    state.p_norms_host = np.ascontiguousarray(np.diagonal(km))
+    state.p_norms_host = np.ascontiguousarray(np.diagonal(km)) if p_norms is None else p_norms
     state.n = km.shape[0]
+    state.kernel_operand = KernelOperand(km, state.dtype)
 
 
 def _kernel_stage(state: EngineState, x: np.ndarray, kernel: Kernel, method, threshold) -> None:
@@ -430,15 +445,14 @@ def _kernel_stage(state: EngineState, x: np.ndarray, kernel: Kernel, method, thr
     _check_gram_expressible(kernel)
     n, d = x.shape
     used = _resolve_gram_method(method, threshold, n, d, state.chunk_rows is not None)
-    state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, used)
-    state.n = n
+    _adopt_kernel_matrix(state, *_host_kernel_matrix(x, kernel, used))
     state.gram_method = used
 
 
 def _fused_step(state: EngineState, labels, weights=None) -> DistanceStep:
     """One Popcorn distance step through the chunked fused reduction."""
     fused = fused_popcorn_argmin(
-        state.k_host,
+        state.kernel_operand,
         labels,
         state.n_clusters,
         chunk_rows=state.chunk_rows,
@@ -523,6 +537,7 @@ class HostBackend(Backend):
     def finish(self, state: EngineState) -> None:
         state.k_host = None
         state.p_norms_host = None
+        state.kernel_operand = None
 
     def _record(self, state: EngineState, phase: str, name: str, t0: float) -> None:
         with state.profiler.phase(phase):
@@ -614,6 +629,7 @@ class DeviceBackend(Backend):
         state.resident = []
         state.k_host = None
         state.p_norms_host = None
+        state.kernel_operand = None
 
     def check_capacity(self, state: EngineState, n: int) -> None:
         """Fail fast when the run cannot fit in device memory.

@@ -45,6 +45,7 @@ from .backends import Backend, DistanceStep, EngineState, get_backend
 from .params import ParamSpec, ParamsProtocol, check_is_fitted, optional
 from .reduction import (
     CrossKernelArgmin,
+    SupportOperand,
     WorkStealingPool,
     chunk_ranges,
     validate_chunk_size,
@@ -84,9 +85,12 @@ class OutOfSamplePredictor(ParamsProtocol):
     move the argmin: ``d_qj = -2 s_qj + ||c_j||^2`` with ``s_qj`` either
     ``(K_c V^T)_qj`` (kernel support) or ``<phi(q), c_j>`` (centers).
     ``chunk_rows`` streams the queries in row chunks so only one
-    ``chunk_rows x n_support`` cross-kernel panel is live at a time; the
-    CSR SpMM computes output columns independently, so any chunking is
-    bit-identical to the monolithic product.
+    ``chunk_rows x n_support`` cross-kernel panel is live at a time.
+    Each chunk's ``s_qj`` panel is a certified GEMM against the
+    support's dense ``-2 V^T`` (built once per support, see
+    :meth:`_support_operand`) with an exact SpMM re-run of the rows it
+    cannot certify, so any chunking gives the labels of the monolithic
+    SpMM path bit for bit.
     """
 
     #: support-set defaults (fit overwrites what applies)
@@ -94,6 +98,8 @@ class OutOfSamplePredictor(ParamsProtocol):
     _support_weights = None
     _support_centers = None
     _support_v = None
+    #: the SupportOperand of _support_v (it carries the V it was built from)
+    _support_op = None
 
     def _require_fitted(self) -> None:
         check_is_fitted(self)
@@ -207,6 +213,22 @@ class OutOfSamplePredictor(ParamsProtocol):
                 )
         return self._support_v
 
+    def _support_operand(self) -> SupportOperand:
+        """The cached GEMM operand of the support selection matrix.
+
+        Built once per ``_support_v`` object: whatever replaces that
+        attribute (a fit, ``partial_fit``, ``load_model``) makes the next
+        predict build a fresh one.  The operand holds the V it came from,
+        and one attribute store publishes it, so concurrent first
+        predicts never see a V paired with another V's operand.
+        """
+        v = self._support_selection()
+        op = self._support_op
+        if op is None or op.v is not v:
+            op = SupportOperand(v, np.float64)
+            self._support_op = op
+        return op
+
     def _query_features(self, xm: np.ndarray) -> np.ndarray:
         """Hook: map raw queries into the centers' feature space."""
         return xm
@@ -214,33 +236,23 @@ class OutOfSamplePredictor(ParamsProtocol):
     # ------------------------------------------------------------------
     # the shared prediction pipeline
     # ------------------------------------------------------------------
-    def _labels_from_cross(self, kc: np.ndarray) -> np.ndarray:
-        """Row argmin of ``-2 K_c V^T + C~`` for one cross-kernel panel."""
-        from ..sparse import spmm
-
-        v = self._support_selection()
-        kvt = spmm(v, np.ascontiguousarray(kc.T)).T  # (m, k)
-        d = -2.0 * kvt + self._c_norms[None, :]
-        return np.argmin(d, axis=1).astype(np.int32)
-
     def _labels_from_centers(self, q: np.ndarray) -> np.ndarray:
         """Row argmin of ``-2 Q C^T + C~`` against explicit centers."""
         d = -2.0 * (q @ self._support_centers.T) + self._c_norms[None, :]
         return np.argmin(d, axis=1).astype(np.int32)
 
     def _assign_cross(self, m, panel_rows, rows, cols, threads) -> np.ndarray:
-        """Fused cross-kernel argmin over one query block."""
+        """Certified fused cross-kernel argmin over one query block (labels only)."""
         red = CrossKernelArgmin(
             m,
             panel_rows,
-            self._support_selection(),
+            self._support_operand(),
             self._c_norms,
             chunk_rows=rows,
             chunk_cols=cols,
             n_threads=threads,
         )
-        labels, _ = red.run()
-        return labels
+        return red.run_labels()
 
     def _assign_centers(self, xm, rows, threads) -> np.ndarray:
         """Row-chunked assignment against explicit centers.
@@ -279,11 +291,14 @@ class OutOfSamplePredictor(ParamsProtocol):
         estimator was fitted on a precomputed kernel matrix.
 
         Assignment runs through the chunked fused reduction
-        (:mod:`repro.engine.reduction`): ``chunk_rows`` bounds the live
-        query block, ``chunk_cols`` bounds the live cluster block, and
-        ``n_threads`` distributes query chunks over a work-stealing thread
-        pool.
-        Labels are bit-identical to the monolithic run for every setting.
+        (:class:`repro.engine.reduction.CrossKernelArgmin`): each query
+        chunk's panels are one certified GEMM against the support's
+        cached dense ``-2 V^T``, and the rows the error bound cannot
+        certify (ties, near-ties, NaN, Inf) are re-run through the exact
+        SpMM.  ``chunk_rows`` bounds the live query block, ``chunk_cols``
+        bounds the live cluster block, and ``n_threads`` distributes query
+        chunks over a work-stealing thread pool.  Labels are bitwise the
+        exact SpMM path's for every setting.
         """
         self._require_fitted()
         rows = validate_chunk_size(chunk_rows, "chunk_rows")

@@ -70,7 +70,7 @@ from ..errors import ConfigError, ShapeError
 from ..obs import metrics, trace
 from ..sparse import CSRMatrix
 from .backends import DistanceStep, _host_kernel_matrix, _resolve_gram_method
-from .reduction import CrossKernelArgmin, chunk_ranges, fused_popcorn_argmin
+from .reduction import CrossKernelArgmin, KernelOperand, chunk_ranges, fused_popcorn_argmin
 
 __all__ = [
     "EWA_ALPHA",
@@ -250,7 +250,7 @@ def _cold_start(est, xm, km, w) -> None:
     if w_fit is None and est._partial_fit_unit_weights:
         w_fit = np.ones(n, dtype=np.float64)
     fused = fused_popcorn_argmin(
-        km,
+        KernelOperand(km, est.dtype),
         labels0,
         k,
         chunk_rows=est.chunk_rows,
@@ -330,7 +330,7 @@ def _update_batch(
         red = CrossKernelArgmin(
             m,
             panel_fn,
-            est._support_selection(),
+            est._support_operand(),
             state.c_norms,
             chunk_rows=est.chunk_rows,
             chunk_cols=est.chunk_cols,
@@ -340,7 +340,8 @@ def _update_batch(
 
     # fused min_d drops the per-query constant: d = -2 s + ||c||^2, so
     # the assignment's <phi(q_b), c_j> and the true batch inertia both
-    # fall out without re-touching the cross-kernel
+    # fall out without re-touching the cross-kernel; run() evaluates it
+    # exactly (bitwise the SpMM path's), never from a GEMM panel
     s_b = 0.5 * (state.c_norms[labels_b] - min_d)
     inertia = float((w_b * (diag_b + min_d)).sum())
 

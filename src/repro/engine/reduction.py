@@ -45,35 +45,43 @@ construction:
   work-stealing pool only changes *when* a row chunk runs, never what it
   computes, and row chunks write disjoint output slices.
 
-The fit-loop reduction (:func:`fused_popcorn_argmin`) runs the exact
-path only where it must.  Its panels are one BLAS GEMM of the dense
-``-2 V`` block against the row chunk's columns of K (never K's rows: K
-need not be bitwise symmetric), and each row's GEMM argmin is
-*certified* before it is used:
+Both reductions run the exact path only where they must.  Their
+panels are one BLAS GEMM of a kernel block against the dense ``-2 V^T``
+block of a :class:`SupportOperand` — the fit's row chunk of K's columns
+(never K's rows: K need not be bitwise symmetric), or predict's query
+chunk of the cross-kernel — and each row's GEMM argmin is *certified*
+before it is used (:func:`_certified_argmin`, one scheme for fit,
+predict and serve):
 
 * **bound** — both the GEMM and the SpMM sum the ``|L_j|`` products of
   cluster ``j``, so by Higham's dot-product bound
   (``|fl(x^T y) - x^T y| <= gamma_n |x|^T |y|``) their E entries differ
-  by at most ``4 gamma_|L_j| ||v_j||_1 max_l |K[l, i]|``; the rounding of
-  the ``+ P~`` and ``+ C~`` adds is bounded from the computed sums, and
-  the whole bound carries a factor-2 slack for its own rounding;
+  by at most ``4 gamma_|L_j| ||v_j||_1 max_l |K[l, i]|`` (K's column
+  max-abs, which a :class:`KernelOperand` computes once per fit, or the
+  query row's max-abs cross-kernel entry); the rounding of the adds
+  after E is bounded from the computed sums, and the whole bound
+  carries a factor-2 slack for its own rounding;
 * **certify or fall back** — a row is certified only when its GEMM best
   beats every other column by more than the two columns' bounds, so the
   exact path has the same unique minimum.  Ties, near-ties, NaN and Inf
   fail the test, and failing rows are re-run through the exact path on
-  their gathered K columns (bitwise equal by the column-subset contract,
-  lowest-index tie-breaking included).  A traced run counts them in
-  ``reduction.fallback_rows``;
-* **exact min_d** — a certified row that kept its label reads
-  ``(z_i + P~_i) + C~_j`` from the exact z-pass; one that moved gets its
-  E entry from one SpMM row on the gathered ``K[L_j, moved]`` block.
-  ``min_d`` (hence the objective and ``DistanceStep.assigned``) is thus
-  bitwise the exact path's, never a GEMM value.
+  their gathered kernel columns (bitwise equal by the column-subset
+  contract, lowest-index tie-breaking included).  A traced run counts
+  them in ``reduction.fallback_rows`` (fit) and
+  ``reduction.cross_fallback_rows`` (predict);
+* **exact min_d** — in the fit, a certified row that kept its label
+  reads ``(z_i + P~_i) + C~_j`` from the exact z-pass; one that moved,
+  and every certified predict row, gets its E entry from one SpMM row
+  on the gathered kernel entries of its cluster's members.  ``min_d``
+  (hence the objective, ``DistanceStep.assigned`` and the mini-batch
+  inertia) is thus bitwise the exact path's, never a GEMM value.
+  ``predict`` reads labels only and skips it
+  (:meth:`CrossKernelArgmin.run_labels`).
 
 ``tests/engine/test_reduction.py`` pins the contract: against the legacy
 pipeline over dtype x chunk shape x thread count x weights, and on
 inputs that force the fallback (ties, NaN, a non-PSD kernel, empty
-clusters).
+clusters), for the fit's kernel matrices and predict's cross-kernels.
 """
 
 from __future__ import annotations
@@ -110,6 +118,8 @@ __all__ = [
     "ArgminReduction",
     "CrossKernelArgmin",
     "FusedDistances",
+    "KernelOperand",
+    "SupportOperand",
     "fused_popcorn_argmin",
 ]
 
@@ -396,6 +406,150 @@ class ArgminReduction(PairwiseReduction):
 
 
 # ----------------------------------------------------------------------
+# the certified GEMM operands and the shared certificate
+# ----------------------------------------------------------------------
+
+class KernelOperand:
+    """K as the fit's reduction reads it, with the statistics it needs.
+
+    Holds the kernel matrix in the reduction's dtype (``km``, cast once
+    here and never again), its diagonal ``P~`` (``p_norms``, a view) and
+    the float64 column max-abs of ``km`` that every certified panel's
+    error bound reads (``colmax``, computed on first use and kept).  K
+    never changes during a fit, so a backend builds one operand at its
+    kernel stage and every iteration reuses it;
+    :func:`fused_popcorn_argmin` also accepts a plain array and builds a
+    one-off operand from it.
+    """
+
+    __slots__ = ("km", "p_norms", "_colmax")
+
+    def __init__(self, k_mat: np.ndarray, dtype=None) -> None:
+        n = k_mat.shape[0]
+        if k_mat.shape != (n, n):
+            raise ShapeError("kernel matrix must be square")
+        dt = np.dtype(dtype) if dtype is not None else k_mat.dtype
+        self.km = k_mat.astype(dt, copy=False)
+        self.p_norms = np.diagonal(self.km)
+        self._colmax = None
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.km.dtype
+
+    @property
+    def colmax(self) -> np.ndarray:
+        """``max_l |K[l, i]|`` per column ``i`` (float64), without an ``|K|`` temporary."""
+        if self._colmax is None:
+            km = self.km
+            self._colmax = np.maximum(km.max(axis=0), -km.min(axis=0)).astype(np.float64)
+        return self._colmax
+
+
+class SupportOperand:
+    """The dense ``-2 V`` GEMM operand of a selection matrix, with its error bound.
+
+    ``neg2v_t`` is ``-2 V^T`` as a contiguous ``(n_support, k)`` block, so
+    a panel is one GEMM of a kernel block against it (``-2`` scales
+    exactly).  ``v`` is the CSR matrix it was built from: the exact
+    SpMM path reads it, and a cache keyed on ``v``'s identity holds the
+    matching operand.  The coefficients bound how far a GEMM distance
+    can sit from the exact SpMM one (see the module docstring).
+    """
+
+    __slots__ = ("v", "neg2v_t", "e_coef", "e_abs", "add_coef")
+
+    def __init__(self, v: CSRMatrix, dtype) -> None:
+        dt = np.dtype(dtype)
+        k, n = v.shape
+        rows = v.row_indices()
+        self.v = v
+        keys = rows.astype(np.int64) * n + v.colinds
+        dup = np.unique(keys).size < keys.size
+        self.neg2v_t = np.zeros((n, k), dtype=dt)
+        vals = v.values.astype(dt, copy=False) * dt.type(-2.0)
+        if dup:
+            # a mini-batch support repeats columns; their values sum into
+            # one dense entry, which adds up to |L_j| roundings
+            np.add.at(self.neg2v_t, (v.colinds, rows), vals)
+        else:
+            self.neg2v_t[v.colinds, rows] = vals
+        # Error-bound coefficients, in float64.  Both paths sum the |L_j|
+        # products of cluster j (the GEMM's zero terms add exactly), so by
+        # Higham's dot-product bound each E entry is within
+        # gamma_|L_j| * ||-2 v_j||_1 * max_l |K[l, i]| of the true value,
+        # and the two paths within twice that (three times when summed
+        # duplicates rounded the dense entries).  Every coefficient
+        # carries a factor-2 slack for the rounding of the bound and the
+        # comparison.
+        slack = 2.0
+        terms = 3.0 if dup else 2.0
+        u = float(np.finfo(dt).eps) / 2
+        m = np.diff(v.rowptrs).astype(np.float64)
+        gamma = np.full(k, np.inf)
+        fits = m * u < 1.0
+        gamma[fits] = m[fits] * u / (1.0 - m[fits] * u)
+        l1 = np.bincount(rows, weights=np.abs(v.values.astype(np.float64)), minlength=k)
+        self.e_coef = slack * terms * gamma * (2.0 * l1)
+        # underflow (or flush-to-zero) of any of those products, both paths
+        self.e_abs = slack * terms * m * float(np.finfo(dt).tiny)
+        # the roundings of the adds after E: u * (|a| + |D|) on each path
+        self.add_coef = slack * 2.0 * u
+
+
+def _certified_argmin(
+    gemm: Callable[[int, int], np.ndarray],
+    maxabs: np.ndarray,
+    c_norms: np.ndarray,
+    op: SupportOperand,
+    col_chunks: List[Tuple[int, int]],
+    dtype: np.dtype,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """GEMM argmin of one row block and which rows it certifies.
+
+    ``gemm(c0, c1)`` is the block's ``rows x (c1 - c0)`` GEMM panel
+    ``a`` against ``op.neg2v_t`` plus whatever the exact path adds before
+    ``C~`` (the fit's ``P~``); each distance is ``a + C~``.  ``maxabs``
+    (``rows x 1``, float64) is each row's max-abs kernel entry.  A row is
+    certified when the upper bound of its best column's exact distance
+    is below the lower bound of every other column's, so the exact path
+    has the same unique minimum.
+    """
+    rr = maxabs.shape[0]
+    rows = np.arange(rr)
+    best = np.full(rr, np.inf, dtype=dtype)
+    arg = np.zeros(rr, dtype=np.int32)
+    best_hi = np.full(rr, np.inf)
+    best_lo = np.full(rr, np.inf)
+    other_lo = np.full(rr, np.inf)
+    # a non-finite value here only fails certification; the exact re-run
+    # of that row raises whatever warnings the input deserves
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c0, c1 in col_chunks:
+            a = gemm(c0, c1)
+            d = a + c_norms[c0:c1]
+            err = np.abs(a, dtype=np.float64)
+            err += np.abs(d, dtype=np.float64)
+            err *= op.add_coef
+            err += maxabs * op.e_coef[c0:c1] + op.e_abs[c0:c1]
+            lo = d - err
+            local = np.argmin(d, axis=1)
+            vals = d[rows, local]
+            upd = vals < best
+            lo_local = lo[rows, local]
+            hi_local = vals + err[rows, local]
+            lo[rows, local] = np.inf
+            np.minimum(other_lo, lo.min(axis=1), out=other_lo)
+            np.minimum(other_lo, np.where(upd, best_lo, lo_local), out=other_lo)
+            best_lo = np.where(upd, lo_local, best_lo)
+            best_hi = np.where(upd, hi_local, best_hi)
+            best[upd] = vals[upd]
+            arg[upd] = (c0 + local[upd]).astype(np.int32)
+    # ties, near-ties, NaN and Inf all fail the strict comparison
+    return arg, best_hi < other_lo
+
+
+# ----------------------------------------------------------------------
 # the Popcorn fit-loop reduction
 # ----------------------------------------------------------------------
 
@@ -439,46 +593,27 @@ class _PopcornArgmin(ArgminReduction):
 
     Construction runs the two exact phases every panel needs: the z-pass
     (:func:`_label_gather`) and the ``C~ = -0.5 V z`` SpMV.  Each row
-    chunk then evaluates its panels as one BLAS GEMM of the dense
-    ``-2 V`` block against the chunk's columns of K, certifies every
+    chunk then evaluates its panels as one BLAS GEMM of the chunk's
+    columns of K against the dense ``-2 V^T`` block, certifies every
     row's argmin against the exact SpMM path, re-runs the rows that fail
     through that exact path, and evaluates ``min_d`` exactly (see the
     module docstring's bit-exactness contract).  The dense block is
-    ``k x n``, ``k / n`` of K's bytes.
+    ``n x k``, ``k / n`` of K's bytes.
     """
 
-    def __init__(self, km, v, lab, p_norms, **kwargs) -> None:
-        super().__init__(km.shape[0], v.nrows, km.dtype, **kwargs)
-        dt = self.dtype
-        self._km = km
+    def __init__(self, op: KernelOperand, v, lab, **kwargs) -> None:
+        super().__init__(op.km.shape[0], v.nrows, op.dtype, **kwargs)
+        self._km = op.km
+        self._p = op.p_norms
+        self._colmax = op.colmax
         self._v = v
         self._lab = lab
-        self._p = p_norms
-        self.budget_elems = max(self.panel_bytes // dt.itemsize, 1)
-        self.z = _label_gather(km, v, budget_elems=self.budget_elems, n_threads=self.n_threads)
+        self.budget_elems = max(self.panel_bytes // self.dtype.itemsize, 1)
+        self.z = _label_gather(
+            self._km, v, budget_elems=self.budget_elems, n_threads=self.n_threads
+        )
         self.c_norms = spmv(v, self.z, alpha=-0.5)
-        rows = v.row_indices()
-        # the dense -2 V block of the GEMM panels (-2 scales exactly)
-        self._neg2v = np.zeros(v.shape, dtype=dt)
-        self._neg2v[rows, v.colinds] = v.values * dt.type(-2.0)
-        # Error-bound coefficients, in float64.  Both paths sum the |L_j|
-        # products of cluster j (the GEMM's zero terms add exactly), so by
-        # Higham's dot-product bound each E entry is within
-        # gamma_|L_j| * ||-2 v_j||_1 * max_l |K[l, i]| of the true value,
-        # and the two paths within twice that.  Every coefficient carries
-        # a factor-2 slack for the rounding of the bound and the comparison.
-        slack = 2.0
-        u = float(np.finfo(dt).eps) / 2
-        m = np.diff(v.rowptrs).astype(np.float64)
-        gamma = np.full(self.n_cols, np.inf)
-        fits = m * u < 1.0
-        gamma[fits] = m[fits] * u / (1.0 - m[fits] * u)
-        l1 = np.bincount(rows, weights=np.abs(v.values.astype(np.float64)), minlength=self.n_cols)
-        self._e_coef = slack * 2.0 * gamma * (2.0 * l1)
-        # underflow (or flush-to-zero) of any of those products, both paths
-        self._e_abs = slack * 2.0 * m * float(np.finfo(dt).tiny)
-        # the roundings of (E + P~) + C~: u * (|E + P~| + |D|) on each path
-        self._add_coef = slack * 2.0 * u
+        self._gemm = SupportOperand(v, self.dtype)
 
     def _panel(self, ctx, c0, c1) -> np.ndarray:
         """The exact panel: the SpMM of V's cluster chunk on gathered K columns."""
@@ -491,44 +626,22 @@ class _PopcornArgmin(ArgminReduction):
     def _certified_sweep(self, r0: int, r1: int) -> Tuple[np.ndarray, np.ndarray]:
         """GEMM argmin of rows ``[r0, r1)`` and which rows it certifies."""
         kp = self._km[:, r0:r1]  # a view; the GEMM reads K's columns, never its rows
-        rr = r1 - r0
-        rows = np.arange(rr)
         p = self._p[r0:r1, None]
-        # column max-abs of the panel without an |K| temporary
-        colmax = np.maximum(kp.max(axis=0), -kp.min(axis=0)).astype(np.float64)[:, None]
-        best = np.full(rr, np.inf, dtype=self.dtype)
-        arg = np.zeros(rr, dtype=np.int32)
-        # certificate: an upper bound of the best column's exact distance,
-        # lower bounds of the best's and of every other column's
-        best_hi = np.full(rr, np.inf)
-        best_lo = np.full(rr, np.inf)
-        other_lo = np.full(rr, np.inf)
-        # a non-finite value here only fails certification; the exact
-        # re-run of that row raises whatever warnings the input deserves
-        with np.errstate(invalid="ignore", over="ignore"):
-            for c0, c1 in self.col_chunks():
-                a = kp.T @ self._neg2v[c0:c1].T
-                a += p
-                d = a + self.c_norms[c0:c1]
-                err = np.abs(a, dtype=np.float64)
-                err += np.abs(d, dtype=np.float64)
-                err *= self._add_coef
-                err += colmax * self._e_coef[c0:c1] + self._e_abs[c0:c1]
-                lo = d - err
-                local = np.argmin(d, axis=1)
-                vals = d[rows, local]
-                upd = vals < best
-                lo_local = lo[rows, local]
-                hi_local = vals + err[rows, local]
-                lo[rows, local] = np.inf
-                np.minimum(other_lo, lo.min(axis=1), out=other_lo)
-                np.minimum(other_lo, np.where(upd, best_lo, lo_local), out=other_lo)
-                best_lo = np.where(upd, lo_local, best_lo)
-                best_hi = np.where(upd, hi_local, best_hi)
-                best[upd] = vals[upd]
-                arg[upd] = (c0 + local[upd]).astype(np.int32)
-        # ties, near-ties, NaN and Inf all fail the strict comparison
-        return arg, best_hi < other_lo
+        b = self._gemm.neg2v_t
+
+        def panel(c0: int, c1: int) -> np.ndarray:
+            a = kp.T @ b[:, c0:c1]
+            a += p
+            return a
+
+        return _certified_argmin(
+            panel,
+            self._colmax[r0:r1, None],
+            self.c_norms,
+            self._gemm,
+            self.col_chunks(),
+            self.dtype,
+        )
 
     def _process_rows(self, r0: int, r1: int) -> None:
         arg, certified = self._certified_sweep(r0, r1)
@@ -605,7 +718,7 @@ class FusedDistances:
 
 
 def fused_popcorn_argmin(
-    k_mat: np.ndarray,
+    k_mat,
     labels: np.ndarray,
     k: int,
     *,
@@ -617,7 +730,9 @@ def fused_popcorn_argmin(
 ) -> FusedDistances:
     """One Popcorn distance step through the fused reduction engine.
 
-    Three phases, each bitwise equal to its legacy counterpart:
+    ``k_mat`` is the square kernel matrix, or a :class:`KernelOperand`
+    built from it once per fit (its dtype must then be ``dtype``, when
+    given).  Three phases, each bitwise equal to its legacy counterpart:
 
     1. **z-pass** — :func:`_label_gather` computes ``z_i = E[i, lab_i]``
        per cluster without building E;
@@ -633,29 +748,31 @@ def fused_popcorn_argmin(
     legacy pipeline plus row argmin bit for bit, for every chunk shape
     and thread count (property-tested).
     """
-    n = k_mat.shape[0]
-    if k_mat.shape != (n, n):
-        raise ShapeError("kernel matrix must be square")
-    lab = check_labels(labels, n, k)
-    dt = np.dtype(dtype) if dtype is not None else k_mat.dtype
-    km = k_mat.astype(dt, copy=False)
-    if weights is None:
-        v = selection_matrix(lab, k, dtype=dt)
+    if isinstance(k_mat, KernelOperand):
+        op = k_mat
+        if dtype is not None and np.dtype(dtype) != op.dtype:
+            raise ConfigError(
+                f"kernel operand holds {op.dtype} but dtype={np.dtype(dtype)} was requested"
+            )
     else:
-        v = weighted_selection_matrix(lab, k, weights, dtype=dt)
-    p_norms = np.diagonal(km)
+        op = KernelOperand(k_mat, dtype)
+    n = op.km.shape[0]
+    lab = check_labels(labels, n, k)
+    if weights is None:
+        v = selection_matrix(lab, k, dtype=op.dtype)
+    else:
+        v = weighted_selection_matrix(lab, k, weights, dtype=op.dtype)
     red = _PopcornArgmin(
-        km,
+        op,
         v,
         lab,
-        p_norms,
         chunk_rows=chunk_rows,
         chunk_cols=chunk_cols,
         n_threads=n_threads,
     )
     red.run()
     return FusedDistances(
-        red.labels, red.min_d, v, red.z, red.c_norms, km, p_norms, red.panel_bytes
+        red.labels, red.min_d, v, red.z, red.c_norms, op.km, op.p_norms, red.panel_bytes
     )
 
 
@@ -664,7 +781,7 @@ def fused_popcorn_argmin(
 # ----------------------------------------------------------------------
 
 class CrossKernelArgmin(ArgminReduction):
-    """Fused ``argmin_j (-2 K_c V^T + C~)`` for out-of-sample queries.
+    """Certified fused ``argmin_j (-2 K_c V^T + C~)`` for out-of-sample queries.
 
     ``panel_rows(r0, r1)`` supplies the ``(r1-r0) x n_support``
     cross-kernel block for one query chunk — a slice of a precomputed
@@ -673,32 +790,95 @@ class CrossKernelArgmin(ArgminReduction):
     are both bounded by the chunk schedule.  The per-query self-kernel
     constant is dropped (it cannot move the argmin), matching
     :class:`repro.engine.base.OutOfSamplePredictor`.
+
+    ``support`` is the support selection matrix V (taken in float64),
+    or the float64 :class:`SupportOperand` built from it (the estimators
+    cache one per support, so repeated predicts never rebuild it).
+    Each query chunk's panels are one GEMM of the cross-kernel chunk
+    against the dense ``-2 V^T``; every row's argmin is certified with
+    the bound of the fit's panels (each row's max-abs cross-kernel entry
+    in place of K's column max-abs), and rows that fail are re-run
+    through the exact SpMM panels.  A traced run counts them in
+    ``reduction.cross_fallback_rows``.  :meth:`run` returns labels and a
+    ``min_d`` that are both bitwise the exact SpMM path's;
+    :meth:`run_labels` skips the exact ``min_d`` of certified rows.
     """
 
     def __init__(
         self,
         n_rows: int,
         panel_rows: Callable[[int, int], np.ndarray],
-        v: CSRMatrix,
+        support,
         c_norms: np.ndarray,
         **kwargs,
     ) -> None:
-        super().__init__(n_rows, v.nrows, np.float64, **kwargs)
+        if isinstance(support, SupportOperand):
+            op = support
+        else:
+            v = support if support.dtype == np.float64 else support.astype(np.float64)
+            op = SupportOperand(v, np.float64)
+        if op.v.dtype != np.float64 or op.neg2v_t.dtype != np.float64:
+            raise ConfigError("CrossKernelArgmin needs a float64 support operand")
+        super().__init__(n_rows, op.v.nrows, np.float64, **kwargs)
         self._panel_rows = panel_rows
-        self._v = v
+        self._op = op
+        self._v = op.v
         self._c = c_norms
+        self._with_min_d = True
 
-    def _row_context(self, r0: int, r1: int):
+    def run_labels(self) -> np.ndarray:
+        """Run the reduction for labels alone; ``min_d`` is not computed.
+
+        The labels are :meth:`run`'s bit for bit.
+        """
+        self._with_min_d = False
+        return self.run()[0]
+
+    def _row_context(self, r0: int, r1: int) -> np.ndarray:
         kc = np.asarray(self._panel_rows(r0, r1), dtype=np.float64)
         if kc.shape != (r1 - r0, self._v.ncols):
             raise ShapeError(
                 f"cross-kernel chunk must be {(r1 - r0, self._v.ncols)}, got {kc.shape}"
             )
-        return kc.T  # (n_support, rr) view; the SpMM accepts any layout
+        return kc
 
     def _panel(self, kct, c0, c1) -> np.ndarray:
+        """The exact panel: the SpMM of V's cluster chunk on ``(n_support, rows)`` ``kct``."""
         vc = self._v if c0 == 0 and c1 == self.n_cols else csr_row_slice(self._v, c0, c1)
         kvt = spmm(vc, kct)  # (cc, rr)
         panel = -2.0 * kvt.T
         panel += self._c[c0:c1][None, :]
         return panel
+
+    def _process_rows(self, r0: int, r1: int) -> None:
+        kc = self._row_context(r0, r1)
+        b = self._op.neg2v_t
+        maxabs = np.maximum(kc.max(axis=1, initial=0.0), -kc.min(axis=1, initial=0.0))
+        arg, certified = _certified_argmin(
+            lambda c0, c1: kc @ b[:, c0:c1],
+            maxabs[:, None],
+            self._c,
+            self._op,
+            self.col_chunks(),
+            self.dtype,
+        )
+        min_d = np.empty(r1 - r0, dtype=self.dtype)
+        fail = np.flatnonzero(~certified)
+        if fail.size:
+            if trace.enabled:
+                metrics.counter("reduction.cross_fallback_rows").inc(fail.size)
+            # the exact path on the failing rows, a block at a time
+            for f0 in range(0, fail.size, _FALLBACK_COLS):
+                f = fail[f0 : f0 + _FALLBACK_COLS]
+                arg[f], min_d[f] = self._sweep(kc[f].T, f.size)
+        self.labels[r0:r1] = arg
+        if not self._with_min_d:
+            return
+        # exact min_d of certified rows: one SpMM row of their cluster on
+        # the chunk entries its members touch (a gather no larger than kc)
+        ok = np.flatnonzero(certified)
+        for j in np.unique(arg[ok]):
+            sel = ok[arg[ok] == j]
+            e = spmm_row_entries(self._v, int(j), kc.T, sel)
+            min_d[sel] = -2.0 * e + self._c[j]
+        self.min_d[r0:r1] = min_d

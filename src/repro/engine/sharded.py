@@ -200,6 +200,7 @@ class ShardedBackend(Backend):
     def finish(self, state: EngineState) -> None:
         state.k_host = None
         state.p_norms_host = None
+        state.kernel_operand = None
 
     def check_capacity(self, state: EngineState, n: int) -> None:
         """Fail fast when one shard cannot hold its row block.
@@ -279,11 +280,10 @@ class ShardedBackend(Backend):
                 "gram_method='syrk' is only available on single-device backends"
             )
         n, d = x.shape
-        state.n = n
         # host-exact numerics, computed once: the per-device row panels of
         # a GEMM are the same dot products, so the full-matrix product is
         # the bitwise reference every shard would produce
-        state.k_host, state.p_norms_host = _host_kernel_matrix(x, kernel, "gemm")
+        _adopt_kernel_matrix(state, *_host_kernel_matrix(x, kernel, "gemm"))
         state.gram_method = "gemm"
         # modeled cost: replicate the points, then per-device panels
         self._allgather(state, 4.0 * n * d)

@@ -21,6 +21,8 @@ from repro.engine import reduction
 from repro.engine.reduction import (
     DEFAULT_CHUNK_COLS,
     DEFAULT_CHUNK_ROWS,
+    CrossKernelArgmin,
+    SupportOperand,
     WorkStealingPool,
     chunk_ranges,
     csr_row_slice,
@@ -34,7 +36,7 @@ from repro.bench.experiments.reduction import (
 from repro.errors import ConfigError, ShapeError
 from repro.estimators import available_estimators, filter_params, make_estimator
 from repro.obs import metrics, trace
-from repro.sparse import selection_matrix
+from repro.sparse import CSRMatrix, selection_matrix, spmm, weighted_selection_matrix
 
 
 @pytest.fixture
@@ -444,6 +446,268 @@ class TestForcedFallback:
             assert counter.value == before
         finally:
             trace.enabled = was_enabled
+
+
+# ----------------------------------------------------------------------
+# certified GEMM predict panels vs the exact SpMM path
+# ----------------------------------------------------------------------
+
+
+def _exact_cross(kc, v, c_norms, chunk_cols=None):
+    """Labels and min_d of the exact predict path: ``-2 spmm(V, Kc^T)^T +
+    C~`` swept over ascending column chunks with strict ``<``."""
+    d = -2.0 * spmm(v, np.asarray(kc).T).T
+    d += c_norms[None, :]
+    m = d.shape[0]
+    rows = np.arange(m)
+    best = np.full(m, np.inf)
+    arg = np.zeros(m, dtype=np.int32)
+    for c0, c1 in chunk_ranges(v.nrows, chunk_cols):
+        local = np.argmin(d[:, c0:c1], axis=1)
+        vals = d[rows, c0 + local]
+        upd = vals < best
+        best[upd] = vals[upd]
+        arg[upd] = c0 + local[upd]
+    return arg, best
+
+
+def _v64(labels, k, weights=None):
+    """The float64 support selection matrix the estimators predict with."""
+    if weights is None:
+        return selection_matrix(np.asarray(labels, dtype=np.int32), k, dtype=np.float64)
+    return weighted_selection_matrix(np.asarray(labels, dtype=np.int32), k, weights)
+
+
+def _cross(kc, v, c_norms, **kw):
+    """CrossKernelArgmin over a precomputed cross-kernel: (labels, min_d, labels-only)."""
+    kc = np.asarray(kc)
+
+    def make():
+        return CrossKernelArgmin(kc.shape[0], lambda r0, r1: kc[r0:r1], v, c_norms, **kw)
+
+    labels, min_d = make().run()
+    return labels, min_d, make().run_labels()
+
+
+@pytest.fixture
+def cross_fallback_rows():
+    """Predict rows the certified reduction re-ran exactly (tracer on)."""
+    counter = metrics.counter("reduction.cross_fallback_rows")
+    was_enabled = trace.enabled
+    start = counter.value
+    trace.enable()
+    try:
+        yield lambda: counter.value - start
+    finally:
+        trace.enabled = was_enabled
+
+
+def _cross_problem(rng, dtype, weighted, n=120, m=70, k=4):
+    """Support blobs under their own labels and queries drawn near them;
+    the cross-kernel is computed in ``dtype`` as an fp32 model's predict does."""
+    x, truth = make_blobs(n + m, 3, k, rng=rng)
+    sup, q = x[:n], x[n:]
+    lab = np.asarray(truth[:n], dtype=np.int32)
+    if weighted:
+        v = _v64(lab, k, rng.uniform(0.5, 2.0, size=n))
+    else:
+        v = _v64(lab, k)
+    km = sup @ sup.T
+    c_norms = np.einsum("jl,jl->j", v.to_dense() @ km, v.to_dense())
+    kc = (q.astype(dtype) @ sup.astype(dtype).T).astype(np.float64)
+    return kc, v, c_norms
+
+
+class TestCrossKernelCertified:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("chunk_rows,chunk_cols", CHUNK_GRID)
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_bitwise(
+        self, rng, cross_fallback_rows, dtype, chunk_rows, chunk_cols, n_threads, weighted
+    ):
+        kc, v, c_norms = _cross_problem(rng, dtype, weighted)
+        want_lab, want_d = _exact_cross(kc, v, c_norms, chunk_cols)
+        for support in (v, SupportOperand(v, np.float64)):
+            lab, min_d, lab_only = _cross(
+                kc,
+                support,
+                c_norms,
+                chunk_rows=chunk_rows,
+                chunk_cols=chunk_cols,
+                n_threads=n_threads,
+            )
+            np.testing.assert_array_equal(lab, want_lab)
+            np.testing.assert_array_equal(lab_only, want_lab)
+            _assert_bitwise(min_d, want_d)
+        # the GEMM path decided most rows
+        assert cross_fallback_rows() < kc.shape[0]
+
+    @given(
+        m=st.integers(min_value=1, max_value=40),
+        k=st.integers(min_value=1, max_value=6),
+        chunk_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=45)),
+        chunk_cols=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+        n_threads=st.sampled_from([1, 2]),
+        weighted=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_bit_exact(self, m, k, chunk_rows, chunk_cols, n_threads, weighted, seed):
+        rng = np.random.default_rng(seed)
+        n = 30
+        x = rng.standard_normal((n + m, 4))
+        lab = random_labels(n, k, rng)
+        w = rng.uniform(0.5, 2.0, size=n)
+        v = _v64(lab, k, w if weighted else None)
+        kc = x[n:] @ x[:n].T
+        c_norms = rng.uniform(0.0, 5.0, size=k)
+        want_lab, want_d = _exact_cross(kc, v, c_norms, chunk_cols)
+        lab_got, min_d, lab_only = _cross(
+            kc, v, c_norms, chunk_rows=chunk_rows, chunk_cols=chunk_cols, n_threads=n_threads
+        )
+        np.testing.assert_array_equal(lab_got, want_lab)
+        np.testing.assert_array_equal(lab_only, want_lab)
+        _assert_bitwise(min_d, want_d)
+
+    def test_duplicate_support_columns(self, rng, cross_fallback_rows):
+        # a mini-batch support repeats columns inside a cluster; the dense
+        # operand sums them, and the bound widens to cover that rounding
+        n, m, k = 40, 50, 3
+        x = rng.standard_normal((n + m, 4))
+        lab = random_labels(n, k, rng)
+        base = _v64(lab, k)
+        cols = np.concatenate([base.colinds, base.colinds[::3]])
+        rows = np.concatenate([base.row_indices(), base.row_indices()[::3]])
+        order = np.argsort(rows, kind="stable")
+        vals = rng.uniform(0.01, 0.1, size=cols.size)
+        rowptrs = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=k))])
+        v = CSRMatrix(vals[order], cols[order], rowptrs, (k, n), check=False)
+        kc = x[n:] @ x[:n].T
+        c_norms = rng.uniform(0.0, 1.0, size=k)
+        want_lab, want_d = _exact_cross(kc, v, c_norms)
+        lab_got, min_d, _ = _cross(kc, v, c_norms, chunk_rows=16)
+        np.testing.assert_array_equal(lab_got, want_lab)
+        _assert_bitwise(min_d, want_d)
+        assert cross_fallback_rows() < m
+
+    def test_rejects_wrong_chunk_shape(self):
+        v = _v64(np.array([0, 1, 1], dtype=np.int32), 2)
+        red = CrossKernelArgmin(2, lambda r0, r1: np.ones((r1 - r0, 5)), v, np.zeros(2))
+        with pytest.raises(ShapeError):
+            red.run_labels()
+
+
+class TestCrossKernelForcedFallback:
+    """Cross-kernels the bound cannot certify: those rows take the exact path."""
+
+    @pytest.mark.parametrize("chunk_cols", [None, 1, 3])
+    def test_constant_cross_kernel_ties_to_lowest_index(self, cross_fallback_rows, chunk_cols):
+        v = _v64(np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int32), 4)
+        kc = np.full((9, 8), 2.5)
+        lab, min_d, lab_only = _cross(kc, v, np.full(4, 5.0), chunk_rows=4, chunk_cols=chunk_cols)
+        want_lab, want_d = _exact_cross(kc, v, np.full(4, 5.0), chunk_cols)
+        assert want_lab.max() == 0
+        np.testing.assert_array_equal(lab, want_lab)
+        np.testing.assert_array_equal(lab_only, want_lab)
+        _assert_bitwise(min_d, want_d)
+        assert cross_fallback_rows() == 2 * 9  # run() and run_labels()
+
+    def test_duplicate_support_points_tie_to_lowest_index(self, rng, cross_fallback_rows):
+        # clusters 1 and 3 hold the same points, so their columns tie exactly
+        base = rng.standard_normal((5, 3))
+        sup = np.vstack([base, base + 4.0, base - 4.0, base + 4.0])
+        lab = np.repeat(np.arange(4), 5).astype(np.int32)
+        v = _v64(lab, 4)
+        q = np.vstack([base + 4.0, base + 4.1, base - 4.0])
+        kc = q @ sup.T
+        c_norms = np.einsum("jl,jl->j", v.to_dense() @ (sup @ sup.T), v.to_dense())
+        lab_got, min_d, _ = _cross(kc, v, c_norms, chunk_cols=2)
+        want_lab, want_d = _exact_cross(kc, v, c_norms, chunk_cols=2)
+        assert np.any(want_lab == 1) and not np.any(want_lab == 3)
+        np.testing.assert_array_equal(lab_got, want_lab)
+        _assert_bitwise(min_d, want_d)
+        assert cross_fallback_rows() >= np.count_nonzero(want_lab == 1)
+
+    @pytest.mark.parametrize("chunk_cols", [None, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_query_row(self, rng, cross_fallback_rows, chunk_cols, bad):
+        kc, v, c_norms = _cross_problem(rng, np.float64, False, m=20)
+        kc[3, 7] = bad
+        kc[11, :] = bad
+        with np.errstate(invalid="ignore"):
+            want_lab, want_d = _exact_cross(kc, v, c_norms, chunk_cols)
+            lab, min_d, lab_only = _cross(kc, v, c_norms, chunk_rows=7, chunk_cols=chunk_cols)
+        np.testing.assert_array_equal(lab, want_lab)
+        np.testing.assert_array_equal(lab_only, want_lab)
+        _assert_bitwise(min_d, want_d)
+        assert cross_fallback_rows() >= 2 * 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_non_psd_negative_cross_kernel(self, cross_fallback_rows, seed):
+        # every entry negative and the distance columns a few roundings
+        # apart: GEMM and SpMM often order them differently
+        rng = np.random.default_rng(seed)
+        n, m, k = 150, 200, 3
+        v = _v64(random_labels(n, k, rng), k)
+        eps = 3 * np.finfo(np.float64).eps
+        kc = -1.0 + eps * rng.standard_normal((m, n))
+        c_norms = np.zeros(k)
+        # row chunks wider than one exact re-run block
+        lab, min_d, _ = _cross(kc, v, c_norms, chunk_rows=150, n_threads=2)
+        want_lab, want_d = _exact_cross(kc, v, c_norms)
+        np.testing.assert_array_equal(lab, want_lab)
+        _assert_bitwise(min_d, want_d)
+        assert cross_fallback_rows() > m // 2
+
+    def test_empty_cluster_ties(self, cross_fallback_rows):
+        # a zero cross-kernel: every column, the empty clusters' included, is 0
+        v = _v64(np.array([1, 1, 1, 3, 3, 3, 3, 1, 1], dtype=np.int32), 5)
+        kc = np.zeros((6, 9))
+        lab, min_d, _ = _cross(kc, v, np.zeros(5), chunk_cols=2)
+        want_lab, want_d = _exact_cross(kc, v, np.zeros(5), chunk_cols=2)
+        assert want_lab.max() == 0
+        np.testing.assert_array_equal(lab, want_lab)
+        _assert_bitwise(min_d, want_d)
+        assert cross_fallback_rows() == 2 * 6
+
+    def test_certified_move_into_empty_cluster(self, cross_fallback_rows):
+        # the empty cluster's distance is its C~ alone, far below the others
+        v = _v64(np.array([0, 0, 0, 2, 2], dtype=np.int32), 3)
+        kc = np.array([[1.0, 1.1, 0.9, 5.0, 5.2], [5.0, 5.1, 4.9, 1.0, 0.8]])
+        c_norms = np.array([3.0, -50.0, 3.0])
+        lab, min_d, _ = _cross(kc, v, c_norms)
+        want_lab, want_d = _exact_cross(kc, v, c_norms)
+        assert want_lab.tolist() == [1, 1]
+        np.testing.assert_array_equal(lab, want_lab)
+        _assert_bitwise(min_d, want_d)
+        assert cross_fallback_rows() == 0
+
+    def test_predict_counts_fallbacks_only_when_traced(self):
+        x, _ = make_blobs(30, 3, 3, rng=4)
+        est = make_estimator("popcorn", n_clusters=3, backend="host", dtype=np.float64, seed=0)
+        est.fit(kernel_matrix=x @ x.T)
+        kc = x[:5] @ x.T
+        kc[:, 4] = np.nan  # a NaN in every row: all five fall back
+        fit_counter = metrics.counter("reduction.fallback_rows")
+        counter = metrics.counter("reduction.cross_fallback_rows")
+        was_enabled = trace.enabled
+        try:
+            trace.disable()
+            before = counter.value
+            silent = est.predict(cross_kernel=kc)
+            assert counter.value == before
+            trace.enable()
+            before, fit_before = counter.value, fit_counter.value
+            traced = est.predict(cross_kernel=kc, chunk_rows=2)
+            assert counter.value - before == 5
+            assert fit_counter.value == fit_before
+        finally:
+            trace.enabled = was_enabled
+        np.testing.assert_array_equal(silent, traced)
+        with np.errstate(invalid="ignore"):
+            want, _ = _exact_cross(kc, est._support_v, est._c_norms)
+        np.testing.assert_array_equal(traced, want)
 
 
 # ----------------------------------------------------------------------
