@@ -19,7 +19,12 @@ There is **one numerics path**: every backend builds K with
 fused reduction (:func:`_fused_step`) and each baseline step through
 :func:`baseline_distances`, so ``backend="host"``, ``"device"`` and
 ``"sharded:<g>"`` produce identical labels, objectives and centroid
-norms from identical seeds by construction.  ``chunk_rows`` is the one
+norms from identical seeds by construction.  The kernel stage builds K
+in cache-sized row panels: each panel is one GEMM, and the kernel's
+elementwise transform and the fold into K's column max-abs run while
+the panel is still in cache.  :meth:`Kernel.pairwise` builds the same
+panels, so for a kernel that needs no Gram diagonal its K is bitwise
+the fit's.  ``chunk_rows`` is the one
 row-granularity knob: host-family backends chunk the fused reduction
 with it, and the device backend models streaming K from host memory in
 ``chunk_rows x n`` panels instead of holding it resident, converting
@@ -43,6 +48,7 @@ from ..gpu.profiler import Profiler
 from ..gpu.spec import DeviceSpec
 from ..kernels.base import Kernel
 from ..kernels.dispatch import choose_gram_method
+from ..kernels.gram import panel_kernel_matrix
 from ..modeling import (
     argmin_launches,
     baseline_step_launches,
@@ -407,37 +413,42 @@ def syrk_mirror(full: np.ndarray) -> np.ndarray:
 
 
 def _host_kernel_matrix(x: np.ndarray, kernel: Kernel, used: str):
-    """Gram + kernel + diagonal: the one kernel-matrix stage.
+    """Gram + kernel + column statistics: the one kernel-matrix stage.
 
-    The GEMM is ``x @ x.T``; ``"syrk"`` applies the SYRK +
-    triangular-mirror numerics.  A kernel that needs ``diag(B)`` (the
-    Gaussian) gets a snapshot taken before the elementwise transform.
-    Returns ``(K, diag(K))`` as contiguous arrays.
+    ``"gemm"`` builds K in cache-sized row panels
+    (:func:`repro.kernels.gram.panel_kernel_matrix`): one GEMM per
+    panel, the kernel's elementwise transform and the fold into K's
+    column max-abs while the panel is in cache, K the only ``n x n``
+    buffer.  ``"syrk"`` applies the SYRK + triangular-mirror numerics to
+    the whole Gram; a kernel that needs ``diag(B)`` (the Gaussian) gets a
+    snapshot taken before the elementwise transform.  Returns
+    ``(K, maxabs)``: K contiguous, and its column max-abs in K's dtype,
+    or ``None`` when the SYRK path leaves it to :class:`KernelOperand`.
     """
-    b = x @ x.T
-    if used == "syrk":
-        b = syrk_mirror(b)
+    if used != "syrk":
+        return panel_kernel_matrix(x, kernel)
+    b = syrk_mirror(x @ x.T)
     if kernel.needs_diag():
         gram_diag = np.ascontiguousarray(np.diagonal(b)).copy()
         km = kernel.from_gram(b, gram_diag)
     else:
         km = kernel.from_gram(b)
-    km = np.ascontiguousarray(km)
-    return km, np.ascontiguousarray(np.diagonal(km))
+    return np.ascontiguousarray(km), None
 
 
 def _adopt_kernel_matrix(
-    state: EngineState, km: np.ndarray, p_norms: Optional[np.ndarray] = None
+    state: EngineState, km: np.ndarray, maxabs: Optional[np.ndarray] = None
 ) -> None:
     """Take a kernel matrix and its diagonal ``P~`` into ``state``.
 
     Also builds the fit's one :class:`KernelOperand`, so every fused
-    step reuses K's statistics instead of recomputing them.
+    step reuses K's statistics instead of recomputing them; ``maxabs``
+    is K's column max-abs when the kernel stage folded it in already.
     """
     state.k_host = km
-    state.p_norms_host = np.ascontiguousarray(np.diagonal(km)) if p_norms is None else p_norms
+    state.p_norms_host = np.ascontiguousarray(np.diagonal(km))
     state.n = km.shape[0]
-    state.kernel_operand = KernelOperand(km, state.dtype)
+    state.kernel_operand = KernelOperand(km, state.dtype, maxabs)
 
 
 def _kernel_stage(state: EngineState, x: np.ndarray, kernel: Kernel, method, threshold) -> None:

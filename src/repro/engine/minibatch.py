@@ -223,7 +223,7 @@ def restore_online_state(est, counts: np.ndarray, meta: Optional[dict] = None) -
 # the cold start: one full fit iteration, bit for bit
 # ----------------------------------------------------------------------
 
-def _cold_start(est, xm, km, w) -> None:
+def _cold_start(est, xm, w, km, maxabs=None) -> None:
     """Replay one host fit iteration on the first batch.
 
     Mirrors ``BaseKernelKMeans._fit_loop`` body for exactly one
@@ -250,7 +250,7 @@ def _cold_start(est, xm, km, w) -> None:
     if w_fit is None and est._partial_fit_unit_weights:
         w_fit = np.ones(n, dtype=np.float64)
     fused = fused_popcorn_argmin(
-        KernelOperand(km, est.dtype),
+        KernelOperand(km, est.dtype, maxabs),
         labels0,
         k,
         chunk_rows=est.chunk_rows,
@@ -520,12 +520,12 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
                         "the first call"
                     )
                 with trace.span("minibatch.cold_start", n=n):
-                    _cold_start(est, None, km, w_slice)
+                    _cold_start(est, None, w_slice, km)
                 est.gram_method_ = "precomputed"
             else:
                 xb0 = xm[lo:hi]
                 with trace.span("minibatch.cold_start", n=hi - lo):
-                    _cold_start(est, xb0, _batch_kernel_matrix(est, xb0), w_slice)
+                    _cold_start(est, xb0, w_slice, *_batch_kernel_matrix(est, xb0))
             call_labels.append(est.labels_)
             continue
         state = est._online
@@ -579,8 +579,9 @@ def partial_fit_step(est, x=None, *, kernel_matrix=None, sample_weight=None):
     return est
 
 
-def _batch_kernel_matrix(est, xm: np.ndarray) -> np.ndarray:
-    """The cold-start batch's kernel matrix, on the host fit numerics."""
+def _batch_kernel_matrix(est, xm: np.ndarray):
+    """The cold-start batch's kernel matrix and its column max-abs, on the
+    host fit numerics (:func:`~repro.engine.backends._host_kernel_matrix`)."""
     n, d = xm.shape
     used = _resolve_gram_method(
         getattr(est, "gram_method", "auto"),
@@ -589,6 +590,6 @@ def _batch_kernel_matrix(est, xm: np.ndarray) -> np.ndarray:
         d,
         tiled=getattr(est, "chunk_rows", None) is not None,
     )
-    km, _ = _host_kernel_matrix(xm, est.kernel, used)
+    built = _host_kernel_matrix(xm, est.kernel, used)
     est.gram_method_ = used
-    return km
+    return built

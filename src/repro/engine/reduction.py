@@ -57,8 +57,9 @@ predict and serve):
   cluster ``j``, so by Higham's dot-product bound
   (``|fl(x^T y) - x^T y| <= gamma_n |x|^T |y|``) their E entries differ
   by at most ``4 gamma_|L_j| ||v_j||_1 max_l |K[l, i]|`` (K's column
-  max-abs, which a :class:`KernelOperand` computes once per fit, or the
-  query row's max-abs cross-kernel entry); the rounding of the adds
+  max-abs, which the kernel stage folds in while it builds K and a
+  :class:`KernelOperand` keeps for the fit, or the query row's max-abs
+  cross-kernel entry); the rounding of the adds
   after E is bounded from the computed sums, and the whole bound
   carries a factor-2 slack for its own rounding;
 * **certify or fall back** — a row is certified only when its GEMM best
@@ -96,6 +97,7 @@ import numpy as np
 
 from .._typing import check_labels
 from ..errors import ConfigError, ShapeError
+from ..kernels.gram import column_maxabs
 from ..obs import metrics, trace
 from ..sparse import (
     CSRMatrix,
@@ -415,16 +417,22 @@ class KernelOperand:
     Holds the kernel matrix in the reduction's dtype (``km``, cast once
     here and never again), its diagonal ``P~`` (``p_norms``, a view) and
     the float64 column max-abs of ``km`` that every certified panel's
-    error bound reads (``colmax``, computed on first use and kept).  K
-    never changes during a fit, so a backend builds one operand at its
-    kernel stage and every iteration reuses it;
-    :func:`fused_popcorn_argmin` also accepts a plain array and builds a
-    one-off operand from it.
+    error bound reads (``colmax``).  K never changes during a fit, so a
+    backend builds one operand at its kernel stage and every iteration
+    reuses it; :func:`fused_popcorn_argmin` also accepts a plain array
+    and builds a one-off operand from it.
+
+    ``maxabs`` is the column max-abs of ``k_mat`` when its builder folded
+    it in (:func:`repro.kernels.gram.panel_kernel_matrix`).  Rounding is
+    monotone and sign-symmetric, so casting it to ``dtype`` is bitwise
+    the statistic of the cast K.  Without it (an adopted precomputed K,
+    or the SYRK path), ``colmax`` takes one blocked pass over ``km`` on
+    first use and keeps the result.
     """
 
     __slots__ = ("km", "p_norms", "_colmax")
 
-    def __init__(self, k_mat: np.ndarray, dtype=None) -> None:
+    def __init__(self, k_mat: np.ndarray, dtype=None, maxabs: Optional[np.ndarray] = None) -> None:
         n = k_mat.shape[0]
         if k_mat.shape != (n, n):
             raise ShapeError("kernel matrix must be square")
@@ -432,6 +440,8 @@ class KernelOperand:
         self.km = k_mat.astype(dt, copy=False)
         self.p_norms = np.diagonal(self.km)
         self._colmax = None
+        if maxabs is not None:
+            self._colmax = maxabs.astype(dt, copy=False).astype(np.float64)
 
     @property
     def dtype(self) -> np.dtype:
@@ -441,8 +451,7 @@ class KernelOperand:
     def colmax(self) -> np.ndarray:
         """``max_l |K[l, i]|`` per column ``i`` (float64), without an ``|K|`` temporary."""
         if self._colmax is None:
-            km = self.km
-            self._colmax = np.maximum(km.max(axis=0), -km.min(axis=0)).astype(np.float64)
+            self._colmax = column_maxabs(self.km).astype(np.float64)
         return self._colmax
 
 

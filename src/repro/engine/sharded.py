@@ -280,9 +280,8 @@ class ShardedBackend(Backend):
                 "gram_method='syrk' is only available on single-device backends"
             )
         n, d = x.shape
-        # host-exact numerics, computed once: the per-device row panels of
-        # a GEMM are the same dot products, so the full-matrix product is
-        # the bitwise reference every shard would produce
+        # host-exact numerics, computed once in the kernel stage's own
+        # row panels, so K is bitwise the host and device backends' K
         _adopt_kernel_matrix(state, *_host_kernel_matrix(x, kernel, "gemm"))
         state.gram_method = "gemm"
         # modeled cost: replicate the points, then per-device panels

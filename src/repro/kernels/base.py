@@ -23,6 +23,7 @@ import numpy as np
 from .._typing import as_matrix
 from ..errors import ConfigError, ShapeError
 from ..params import ParamsProtocol
+from .gram import panel_kernel_matrix
 
 __all__ = ["Kernel", "positive_float"]
 
@@ -60,12 +61,18 @@ class Kernel(ParamsProtocol, ABC):
     # gram-matrix path (Popcorn's)
     # ------------------------------------------------------------------
     @abstractmethod
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, row_diag: np.ndarray | None = None
+    ) -> np.ndarray:
         """Kernel matrix from the Gram matrix ``b`` (modified in place).
 
         ``diag`` must be the diagonal of the *full* Gram matrix when the
         kernel needs squared norms (Gaussian); elementwise kernels ignore
-        it.  Returns the transformed array (same object when in place).
+        it.  ``b`` may also be a row panel of the full Gram matrix, with
+        ``row_diag`` the panel rows' slice of ``diag`` (it defaults to
+        ``diag``): every entry goes through the same operations either
+        way, so a panel's result is bitwise the whole matrix's rows.
+        Returns the transformed array (same object when in place).
         """
 
     def needs_diag(self) -> bool:
@@ -79,7 +86,10 @@ class Kernel(ParamsProtocol, ABC):
         """Dense kernel matrix ``K[i, j] = kappa(x_i, y_j)``.
 
         Default implementation goes through the Gram matrix; kernels that
-        are not Gram-expressible must override.
+        are not Gram-expressible must override.  ``K(x)`` builds its Gram
+        in the kernel stage's row panels
+        (:func:`repro.kernels.gram.panel_kernel_matrix`), so for a kernel
+        that needs no diagonal it is bitwise the K a fit on ``x`` builds.
         """
         xm = as_matrix(x, name="x")
         ym = xm if y is None else as_matrix(y, dtype=xm.dtype, name="y")
@@ -87,15 +97,14 @@ class Kernel(ParamsProtocol, ABC):
             raise ShapeError(
                 f"feature dimension mismatch: {xm.shape[1]} vs {ym.shape[1]}"
             )
-        b = xm @ ym.T
-        if self.needs_diag():
-            if y is None:
-                diag = np.einsum("ij,ij->i", xm, xm)
-                return self._from_cross_gram(b, diag, diag)
-            dx = np.einsum("ij,ij->i", xm, xm)
-            dy = np.einsum("ij,ij->i", ym, ym)
-            return self._from_cross_gram(b, dx, dy)
-        return self.from_gram(b)
+        if y is None and not self.needs_diag():
+            return panel_kernel_matrix(xm, self)[0]
+        b = panel_kernel_matrix(xm)[0] if y is None else xm @ ym.T
+        if not self.needs_diag():
+            return self.from_gram(b)
+        dx = np.einsum("ij,ij->i", xm, xm)
+        dy = dx if y is None else np.einsum("ij,ij->i", ym, ym)
+        return self._from_cross_gram(b, dx, dy)
 
     def _from_cross_gram(
         self, b: np.ndarray, row_sq: np.ndarray, col_sq: np.ndarray

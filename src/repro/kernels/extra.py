@@ -28,12 +28,15 @@ class CosineKernel(Kernel):
     def needs_diag(self) -> bool:
         return True
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, row_diag: np.ndarray | None = None
+    ) -> np.ndarray:
         if diag is None:
-            diag = np.ascontiguousarray(np.diagonal(b)).copy()
-        inv = self._inv_norms(diag, b.dtype)
-        b *= inv[:, None]
-        b *= inv[None, :]
+            diag = np.diagonal(b).copy()
+        if row_diag is None:
+            row_diag = diag
+        b *= self._inv_norms(row_diag, b.dtype)[:, None]
+        b *= self._inv_norms(diag, b.dtype)[None, :]
         np.clip(b, -1.0, 1.0, out=b)
         return b
 
@@ -81,11 +84,15 @@ class RationalQuadraticKernel(Kernel):
     def _denom(self) -> float:
         return 2.0 * self.alpha * self.length_scale**2
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, row_diag: np.ndarray | None = None
+    ) -> np.ndarray:
         if diag is None:
-            diag = np.ascontiguousarray(np.diagonal(b)).copy()
+            diag = np.diagonal(b).copy()
+        if row_diag is None:
+            row_diag = diag
         b *= b.dtype.type(-2.0)
-        b += diag[:, None]
+        b += row_diag[:, None]
         b += diag[None, :]
         np.maximum(b, 0, out=b)  # clamp round-off
         b /= b.dtype.type(self._denom)

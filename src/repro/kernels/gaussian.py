@@ -36,13 +36,17 @@ class GaussianKernel(Kernel):
     def _scale(self) -> float:
         return self.gamma / self.sigma2
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, row_diag: np.ndarray | None = None
+    ) -> np.ndarray:
         if diag is None:
-            diag = np.ascontiguousarray(np.diagonal(b))
+            diag = np.diagonal(b).copy()
+        if row_diag is None:
+            row_diag = diag
         # ||x_i - x_j||^2 = B_ii - 2 B_ij + B_jj (Eq. 12), fused in place
         s = b.dtype.type(self._scale)
         b *= b.dtype.type(-2.0)
-        b += diag[:, None]
+        b += row_diag[:, None]
         b += diag[None, :]
         b *= -s
         np.exp(b, out=b)

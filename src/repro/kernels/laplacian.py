@@ -29,7 +29,9 @@ class LaplacianKernel(Kernel):
     def __init__(self, gamma: float = 1.0) -> None:
         self._init_params(gamma=gamma)
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, row_diag: np.ndarray | None = None
+    ) -> np.ndarray:
         raise ShapeError(
             "LaplacianKernel cannot be computed from a Gram matrix; "
             "use pairwise() or pass a precomputed kernel matrix"

@@ -19,5 +19,7 @@ class LinearKernel(Kernel):
 
     flops_per_entry = 1.0
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, row_diag: np.ndarray | None = None
+    ) -> np.ndarray:
         return b

@@ -29,7 +29,9 @@ class SigmoidKernel(Kernel):
     def __init__(self, gamma: float = 1.0, coef0: float = 0.0) -> None:
         self._init_params(gamma=gamma, coef0=coef0)
 
-    def from_gram(self, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    def from_gram(
+        self, b: np.ndarray, diag: np.ndarray | None = None, row_diag: np.ndarray | None = None
+    ) -> np.ndarray:
         b *= b.dtype.type(self.gamma)
         b += b.dtype.type(self.coef0)
         np.tanh(b, out=b)

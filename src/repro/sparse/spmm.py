@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._typing import INDEX_DTYPE, as_float_dtype
+from .._typing import as_float_dtype
 from ..errors import ShapeError
 from .csr import CSRMatrix
 
@@ -115,12 +115,16 @@ def spmm_row_entries(
 ) -> np.ndarray:
     """Entries ``(alpha * a @ b)[j, cols]``, reading only the rows of ``b`` they need.
 
-    Runs :func:`spmm` on row ``j`` alone against the gathered block
-    ``b[colinds_j][:, cols]``.  Every output entry is one segmented sum
-    over that row's nonzeros in the same order, whatever other rows and
-    columns are present, so the entries are bitwise the full product's.
-    The gather is split so at most ``budget_elems`` elements of ``b`` are
-    resident.  An empty row gives exact zeros, as in :func:`spmm`.
+    Gathers the block ``b[colinds_j][:, cols]`` once, casts it to ``a``'s
+    dtype if needed, scales it in place by row ``j``'s (alpha-scaled)
+    values and sums it with the one-segment ``np.add.reduceat`` that
+    :func:`spmm` runs.  Each column of that reduction is
+    ``a_0 + pairwise(a_1, ...)`` over the row's nonzeros in order,
+    whatever the block's width or layout, so the entries are bitwise the
+    full product's (a sequential ``sum(axis=0)`` or ``np.add.reduce``
+    would not be).  The gather is split so at most ``budget_elems``
+    elements of ``b`` are resident.  An empty row gives exact zeros, as
+    in :func:`spmm`.
     """
     cols = np.asarray(cols)
     out = np.zeros(cols.shape[0], dtype=a.dtype)
@@ -128,18 +132,18 @@ def spmm_row_entries(
     if lo == hi or cols.shape[0] == 0:
         return out
     nnz = hi - lo
-    row = CSRMatrix(
-        a.values[lo:hi],
-        np.arange(nnz, dtype=INDEX_DTYPE),
-        np.array([0, nnz], dtype=np.int64),
-        (1, nnz),
-        check=False,
-    )
+    vals = a.values[lo:hi]
+    if alpha != 1.0:
+        vals = vals * a.dtype.type(alpha)
     touched = a.colinds[lo:hi]
     block = cols.shape[0] if budget_elems is None else max(1, budget_elems // nnz)
     for b0 in range(0, cols.shape[0], block):
         part = cols[b0 : b0 + block]
-        out[b0 : b0 + part.shape[0]] = spmm(row, b[np.ix_(touched, part)], alpha=alpha)[0]
+        g = b[np.ix_(touched, part)]
+        if g.dtype != a.dtype:
+            g = g.astype(a.dtype)
+        g *= vals[:, None]
+        out[b0 : b0 + part.shape[0]] = np.add.reduceat(g, [0], axis=0)[0]
     return out
 
 

@@ -1,13 +1,39 @@
 """Tests for the Gram/kernel-matrix pipeline (Sec. 3.2 / 4.2)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import PopcornKernelKMeans
 from repro.engine import get_backend
 from repro.engine.backends import _host_kernel_matrix, syrk_mirror
+from repro.engine.reduction import KernelOperand
 from repro.errors import ConfigError, ShapeError
-from repro.kernels import GaussianKernel, LaplacianKernel, gram_matrix, kernel_matrix
+from repro.kernels import (
+    CosineKernel,
+    GaussianKernel,
+    LaplacianKernel,
+    LinearKernel,
+    PolynomialKernel,
+    RationalQuadraticKernel,
+    SigmoidKernel,
+    gram_matrix,
+    kernel_matrix,
+)
+from repro.kernels.gram import column_maxabs, panel_kernel_matrix, row_panels
+
+#: every Gram-expressible kernel, by id
+GRAM_KERNELS = {
+    "linear": LinearKernel(),
+    "poly2": PolynomialKernel(gamma=0.5, coef0=1.0, degree=2),
+    "poly3": PolynomialKernel(gamma=0.5, coef0=1.0, degree=3),
+    "sigmoid": SigmoidKernel(gamma=0.1, coef0=0.2),
+    "gaussian": GaussianKernel(gamma=0.3),
+    "cosine": CosineKernel(),
+    "rq": RationalQuadraticKernel(alpha=1.5, length_scale=2.0),
+}
+NO_DIAG = [name for name, kern in GRAM_KERNELS.items() if not kern.needs_diag()]
 
 
 class TestHostPath:
@@ -107,3 +133,179 @@ class TestDevicePath:
             "thrust.transform",
             "custom.diag_extract",
         ]
+
+
+def _whole_matrix_transform(kernel, gram):
+    """The kernel's transform applied to a whole Gram matrix at once."""
+    b = gram.copy()
+    if kernel.needs_diag():
+        return kernel.from_gram(b, np.diagonal(gram).copy())
+    return kernel.from_gram(b)
+
+
+def _folded_reference(km):
+    return np.maximum(km.max(axis=0), -km.min(axis=0))
+
+
+class TestRowPanels:
+    def test_cache_budget_height(self):
+        """About 2 MiB of K rows: 64 rows at n=8000 fp32, 32 at fp64."""
+        assert row_panels(8000, 4) == [(r, r + 64) for r in range(0, 8000, 64)]
+        assert {r1 - r0 for r0, r1 in row_panels(8000, 8)} == {32}
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 500, 1000, 8010, 8031, 20000])
+    @pytest.mark.parametrize("itemsize", [4, 8])
+    def test_panels_tile_the_rows(self, n, itemsize):
+        panels = row_panels(n, itemsize)
+        flat = [r for r0, r1 in panels for r in range(r0, r1)]
+        assert flat == list(range(n))
+        heights = [r1 - r0 for r0, r1 in panels]
+        if len(heights) > 1:
+            # a short tail joins the panel before it: no one-row GEMV
+            assert min(heights) >= heights[0] // 2
+
+    def test_short_tail_merges(self):
+        panels = row_panels(8010, 4)
+        assert panels[-1] == (7936, 8010)
+        assert len(panels) == 125
+
+
+class TestPanelBuilder:
+    """K built in row panels with the transform and column max-abs fused in."""
+
+    @pytest.mark.parametrize("n", [1, 37, 1000], ids=["n1", "one-panel", "ragged"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("name", list(GRAM_KERNELS))
+    def test_bitwise_the_whole_matrix_transform(self, rng, name, dtype, n):
+        """Blocking the transform changes no bit: K equals the whole-matrix
+        transform of the same panelled Gram (n=1000 is several panels,
+        not a multiple of the panel height, for both dtypes)."""
+        kernel = GRAM_KERNELS[name]
+        x = rng.standard_normal((n, 6)).astype(dtype)
+        if n == 1000:
+            assert len(row_panels(n, x.itemsize)) > 1
+            assert n % (row_panels(n, x.itemsize)[0][1]) != 0
+        km, maxabs = panel_kernel_matrix(x, kernel)
+        assert km.dtype == dtype and km.flags.c_contiguous
+        ref = _whole_matrix_transform(kernel, gram_matrix(x))
+        assert km.tobytes() == ref.tobytes()
+        assert maxabs.dtype == dtype
+        assert maxabs.tobytes() == _folded_reference(km).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("name", list(GRAM_KERNELS))
+    def test_close_to_a_single_gemm(self, rng, name, dtype):
+        """Not bitwise a single ``x @ x.T`` on every shape, but within rounding."""
+        kernel = GRAM_KERNELS[name]
+        x = rng.standard_normal((700, 5)).astype(dtype)
+        km, _ = panel_kernel_matrix(x, kernel)
+        ref = _whole_matrix_transform(kernel, x @ x.T)
+        tol = 1e-4 if dtype == np.float32 else 1e-11
+        np.testing.assert_allclose(km, ref, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("name", ["gaussian", "cosine", "rq"])
+    def test_from_gram_snapshots_its_diagonal(self, rng, name, n):
+        """Without ``diag``, the transform reads a copy of B's diagonal, also
+        for a 1 x 1 Gram, whose diagonal view is contiguous."""
+        kernel = GRAM_KERNELS[name]
+        x = rng.standard_normal((n, 3))
+        gram = x @ x.T
+        ref = kernel.from_gram(gram.copy(), np.diagonal(gram).copy())
+        assert kernel.from_gram(gram.copy()).tobytes() == ref.tobytes()
+
+    def test_gram_without_kernel(self, rng):
+        x = rng.standard_normal((300, 4))
+        km, maxabs = panel_kernel_matrix(x)
+        np.testing.assert_allclose(km, x @ x.T, rtol=1e-12, atol=1e-12)
+        assert km.tobytes() == gram_matrix(x).tobytes()
+        assert maxabs.tobytes() == _folded_reference(km).tobytes()
+
+    def test_k_is_the_only_square_buffer(self, rng):
+        """No ``x @ x.T`` temporary and no whole-K copy: the peak traced
+        allocation stays within K's bytes plus a small slack."""
+        x = rng.standard_normal((1200, 8))
+        kernel = GRAM_KERNELS["gaussian"]
+        k_bytes = 1200 * 1200 * 8
+        tracemalloc.start()
+        try:
+            panel_kernel_matrix(x, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert k_bytes <= peak < 1.25 * k_bytes
+
+
+class TestColumnMaxAbs:
+    """K's column max-abs: folded per panel, bitwise the two-reduction form."""
+
+    @staticmethod
+    def _k_with_specials(rng, dtype):
+        km = rng.standard_normal((900, 900)).astype(dtype) * 100
+        km[5, 3] = np.nan
+        km[7, 10] = np.inf
+        km[700, 10] = -np.inf
+        km[800, 11] = -np.inf
+        km[:, 12] = -0.0
+        km[:, 13] = 1e30
+        return km
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_blocked_pass_equals_max_and_min(self, rng, dtype):
+        km = self._k_with_specials(rng, dtype)
+        got = column_maxabs(km)
+        np.testing.assert_array_equal(got, _folded_reference(km))
+        assert np.isnan(got[3]) and got[10] == np.inf and got[11] == np.inf
+
+    def test_operand_narrower_than_k(self, rng):
+        """Rounding is monotone: the cast statistic is the cast K's statistic."""
+        km = self._k_with_specials(rng, np.float64)
+        km[20, 20] = 3.4e38 * 1.5  # overflows to inf in fp32
+        with np.errstate(over="ignore"):
+            op = KernelOperand(km, np.float32, column_maxabs(km))
+            ref = _folded_reference(km.astype(np.float32)).astype(np.float64)
+            np.testing.assert_array_equal(op.colmax, ref)
+            np.testing.assert_array_equal(KernelOperand(km, np.float32).colmax, ref)
+
+    @pytest.mark.parametrize("name", ["poly2", "gaussian"])
+    def test_operand_of_a_built_k(self, rng, name):
+        x = rng.standard_normal((500, 4))
+        km, maxabs = panel_kernel_matrix(x, GRAM_KERNELS[name])
+        for dt in (np.float64, np.float32):
+            folded = KernelOperand(km, dt, maxabs).colmax
+            assert folded.dtype == np.float64
+            np.testing.assert_array_equal(folded, KernelOperand(km, dt).colmax)
+
+
+def _stage(backend_name, x, kernel, device):
+    """One backend's kernel stage on ``x``; returns its EngineState."""
+    backend = get_backend(backend_name)
+    dev = device if backend_name == "device" else None
+    state = backend.begin(n_clusters=2, dtype=x.dtype, device=dev)
+    backend.compute_kernel_matrix(state, x, kernel, method="gemm")
+    return state
+
+
+class TestOneBuilder:
+    """Every backend and ``Kernel.pairwise`` build K through the same panels."""
+
+    @pytest.mark.parametrize("backend", ["host", "device", "sharded:2"])
+    @pytest.mark.parametrize("name", NO_DIAG)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_fit_k_is_pairwise(self, rng, device, backend, name, dtype):
+        kernel = GRAM_KERNELS[name]
+        x = rng.standard_normal((1000, 6)).astype(dtype)
+        state = _stage(backend, x, kernel, device)
+        assert state.k_host.tobytes() == kernel.pairwise(x).tobytes()
+        # the fused statistics are the ones a precomputed K would get
+        np.testing.assert_array_equal(
+            state.kernel_operand.colmax, KernelOperand(state.k_host, dtype).colmax
+        )
+
+    @pytest.mark.parametrize("name", list(GRAM_KERNELS))
+    def test_backends_agree_bitwise(self, rng, device, name):
+        kernel = GRAM_KERNELS[name]
+        x = rng.standard_normal((1000, 6)).astype(np.float32)
+        ks = [_stage(b, x, kernel, device).k_host for b in ("host", "device", "sharded:2")]
+        assert ks[0].tobytes() == ks[1].tobytes() == ks[2].tobytes()
+        assert ks[0].tobytes() == panel_kernel_matrix(x, kernel)[0].tobytes()

@@ -95,6 +95,47 @@ class TestRowEntries:
         got = spmm_row_entries(a, 2, b, np.arange(9))
         assert got.tobytes() == full[2].tobytes()
 
+    @staticmethod
+    def _long_rows(rng, dtype, sizes, n):
+        """CSR rows with the given nonzero counts and weighted (non-uniform) values."""
+        dense = np.zeros((len(sizes), n), dtype=dtype)
+        for j, m in enumerate(sizes):
+            idx = np.sort(rng.choice(n, m, replace=False))
+            dense[j, idx] = rng.uniform(0.1, 3.0, m)
+        return from_dense(dense)
+
+    @pytest.mark.parametrize("budget", [None, 1, 300, 50_000])
+    @pytest.mark.parametrize("alpha", [1.0, -2.0])
+    @pytest.mark.parametrize(
+        "a_dtype,b_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32)],
+        ids=["f32", "f64", "f64a-f32b"],
+    )
+    def test_long_weighted_rows_keep_the_summation_order(
+        self, rng, budget, alpha, a_dtype, b_dtype
+    ):
+        """Rows past NumPy's 128-element pairwise split (up to 900 nonzeros)
+        sum in the full product's order, whatever the gather's width."""
+        n = 1000
+        a = self._long_rows(rng, a_dtype, [300, 1, 900, 257, 0], n)
+        b = rng.standard_normal((n, n)).astype(b_dtype)
+        full = spmm(a, b, alpha=alpha)
+        cols = rng.permutation(n)[:600]
+        for j in range(a.nrows):
+            got = spmm_row_entries(a, j, b, cols, alpha=alpha, budget_elems=budget)
+            assert got.dtype == full.dtype
+            assert got.tobytes() == full[j, cols].tobytes()
+
+    def test_transposed_b_view(self, rng):
+        """A transposed (F-ordered) ``b`` gathers to the same bits."""
+        a = self._long_rows(rng, np.float32, [400, 130], 500)
+        b = rng.standard_normal((500, 500)).astype(np.float32)
+        full = spmm(a, b.T, alpha=-2.0)
+        cols = rng.permutation(500)[:200]
+        for j in range(a.nrows):
+            got = spmm_row_entries(a, j, b.T, cols, alpha=-2.0, budget_elems=1000)
+            assert got.tobytes() == full[j, cols].tobytes()
+
 
 class TestSpMMInterface:
     def test_dimension_mismatch(self, rng):
